@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .config import DEFAULT, Config
+from .config import runtime_config
 from .constructions import GenSpec
 from .decrement import find_mono
 from .errors import (CapacityError, DecrementStalled, LowRankDiscError,
@@ -61,23 +61,12 @@ def _load_matrix(args) -> BinaryMatrix:
     return BinaryMatrix.from_text(text)
 
 
-def _runtime_config(args) -> Config:
-    overrides = {}
-    if getattr(args, "oracle_limit", None) is not None:
-        overrides["oracle_limit"] = args.oracle_limit
-    if getattr(args, "trials", None) is not None:
-        overrides["rounding_trials"] = args.trials
-    if getattr(args, "tol_eig", None) is not None:
-        overrides["eig_tol_factor"] = args.tol_eig
-    return DEFAULT.with_overrides(**overrides) if overrides else DEFAULT
-
-
 def _frac_str(f) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
 def cmd_disc(args) -> int:
-    cfg = _runtime_config(args)
+    cfg = runtime_config(oracle_limit=args.oracle_limit)
     M = _load_matrix(args)
     out = {"m": M.m, "n": M.n, "ones": M.ones, "heuristic": False}
     if min(M.m, M.n) > cfg.oracle_limit:
@@ -101,7 +90,7 @@ def cmd_disc(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    cfg = _runtime_config(args)
+    cfg = runtime_config(eig_tol_factor=args.tol_eig)
     M = _load_matrix(args)
     if M.m != M.n:
         M = WeightedBinaryMatrix.squared(M).materialize(cfg.dense_capacity)
@@ -111,7 +100,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_mono(args) -> int:
-    cfg = _runtime_config(args)
+    cfg = runtime_config(oracle_limit=args.oracle_limit, trials=args.trials)
     M = _load_matrix(args)
     try:
         result, trace = find_mono(M, seed=args.seed, cfg=cfg)

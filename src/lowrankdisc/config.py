@@ -55,3 +55,12 @@ class Config:
 
 
 DEFAULT = Config()
+
+
+def runtime_config(oracle_limit: int | None = None, trials: int | None = None,
+                   eig_tol_factor: float | None = None) -> Config:
+    """DEFAULT with the user-settable overrides applied; None keeps a default."""
+    overrides = {name: value for name, value in (
+        ("oracle_limit", oracle_limit), ("rounding_trials", trials),
+        ("eig_tol_factor", eig_tol_factor)) if value is not None}
+    return DEFAULT.with_overrides(**overrides)

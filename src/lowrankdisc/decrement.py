@@ -92,7 +92,7 @@ def round_to_rect(M: BinaryMatrix, grams, trials: int, seed: int,
     return best_rect
 
 
-def adjust_to_half(M: BinaryMatrix, R: Rectangle, seed: int = 0,
+def adjust_to_half(M: BinaryMatrix, R: Rectangle,
                    row_size: int | None = None,
                    col_size: int | None = None) -> Rectangle:
     """Resize a rectangle to exact half (or given) sizes, greedily.
@@ -101,10 +101,8 @@ def adjust_to_half(M: BinaryMatrix, R: Rectangle, seed: int = 0,
     it by dropping the largest-marginal members; then the same for columns
     against the final X.  Marginals are exact and additive, so the greedy
     choice dominates the averaging argument over random extensions; ties
-    prefer the lowest index.  The seed parameter is accepted for interface
-    stability but unused: the procedure is fully derandomized.
+    prefer the lowest index.
     """
-    del seed
     m, n = M.shape
     if row_size is None or col_size is None:
         if m % 2 or n % 2:

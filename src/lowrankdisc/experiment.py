@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT, Config
+from .config import Config, runtime_config
 from .constructions import GenSpec
 from .decrement import find_mono
 from .errors import LowRankDiscError
@@ -51,16 +51,6 @@ class ExperimentConfig:
         for op in self.ops:
             if op not in OPS:
                 raise ValueError(f"unknown op {op!r}; choose from {OPS}")
-
-    def runtime_config(self, base: Config = DEFAULT) -> Config:
-        overrides = {}
-        if self.oracle_limit is not None:
-            overrides["oracle_limit"] = self.oracle_limit
-        if self.trials is not None:
-            overrides["rounding_trials"] = self.trials
-        if self.eig_tol_factor is not None:
-            overrides["eig_tol_factor"] = self.eig_tol_factor
-        return base.with_overrides(**overrides) if overrides else base
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
@@ -182,7 +172,8 @@ def worker_count(requested: int | None = None) -> int:
 
 def run_experiment(config: ExperimentConfig,
                    threads: int | None = None) -> list[ReportRow]:
-    cfg = config.runtime_config()
+    cfg = runtime_config(config.oracle_limit, config.trials,
+                         config.eig_tol_factor)
     tasks = [(gen, seed) for gen in config.gens for seed in config.seeds]
     workers = worker_count(threads)
     if workers == 1:

@@ -91,11 +91,10 @@ class BinaryMatrix:
     # from {0,1}.  Ragged or malformed input is rejected.
 
     def to_text(self) -> str:
-        lines = [f"{self.m} {self.n}"]
-        chars = np.char.mod("%d", self.entries)
-        for i in range(self.m):
-            lines.append("".join(chars[i]))
-        return "\n".join(lines) + "\n"
+        buf = np.empty((self.m, self.n + 1), dtype=np.uint8)
+        buf[:, :-1] = self.entries + ord("0")
+        buf[:, -1] = ord("\n")
+        return f"{self.m} {self.n}\n" + buf.tobytes().decode("ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":

@@ -2,7 +2,9 @@
 
 For a square 0/1 matrix M, its symmetrization A is the (2n)x(2n) adjacency
 matrix of the corresponding bipartite graph.  The spectrum of A is symmetric
-about zero, and the PSD witness
+about zero and is read off one SVD of M, without forming A; `symmetrize`
+and `disc_of_psd` build the dense objects only as reference helpers.  The
+PSD witness
 
     X = (1/Delta) * sum_{i<=n} lambda_i^2 v_i v_i^T
 
@@ -44,11 +46,13 @@ def _sign_vector(m: int, n: int) -> np.ndarray:
 
 @dataclass
 class SpectralData:
-    """Validated eigendecomposition of a symmetrization.
+    """Validated spectrum of the symmetrization of a square matrix M.
 
-    lambdas are descending; vectors holds orthonormal eigenvectors as
-    columns, with the exact bipartite pairing built in:
-    vectors[:, N-1-i] = f * vectors[:, i] and lambdas[N-1-i] = -lambdas[i].
+    Holds the singular triples of M: U and V are orthonormal with
+    M v_k = sigma_k u_k.  lambdas are descending and exactly paired,
+    lambdas = (sigma, -sigma reversed), so lambdas[N-1-i] = -lambdas[i].
+    The eigenvectors of A = [[0, M], [M^T, 0]] are (u_k, +-v_k)/sqrt2;
+    `vectors` assembles them only on request.
     """
 
     N: int
@@ -56,71 +60,77 @@ class SpectralData:
     n: int
     ones: int
     lambdas: np.ndarray
-    vectors: np.ndarray
+    U: np.ndarray = field(repr=False)
+    V: np.ndarray = field(repr=False)
     residual: float
     pairing_error: float
     ortho_error: float
     eig_tol: float
-    A: np.ndarray = field(repr=False)
+    M: BinaryMatrix = field(repr=False)
 
     @property
     def density(self) -> Fraction:
         return Fraction(self.ones, self.m * self.n)
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """N x N orthonormal eigenvectors of A, columns ordered as lambdas.
 
-def eigendecompose(A: np.ndarray, eig_tol: float | None = None,
+        vectors[:, N-1-i] = f * vectors[:, i] with f = +1 on rows, -1 on
+        columns.
+        """
+        s = 1.0 / math.sqrt(2.0)
+        top = np.hstack([self.U, self.U[:, ::-1]])
+        bottom = np.hstack([self.V, -self.V[:, ::-1]])
+        return s * np.vstack([top, bottom])
+
+
+def eigendecompose(M: BinaryMatrix, eig_tol: float | None = None,
                    cfg: Config = DEFAULT) -> SpectralData:
-    """Eigendecompose a symmetrization, enforcing the paired spectrum.
+    """Spectrum of the symmetrization of M from one SVD of M.
 
-    Works through the singular value decomposition of the off-diagonal
-    block: each singular triple (sigma, u, v) yields the eigenpairs
-    (+sigma, (u, v)/sqrt2) and (-sigma, (u, -v)/sqrt2).  This construction
-    keeps the +-lambda pairing and the row/column sign relation between
-    paired eigenvectors exact even for degenerate eigenvalues, which a
-    generic symmetric solver does not guarantee.  Deterministic given A.
+    Each singular triple (sigma, u, v) yields the eigenpairs
+    (+sigma, (u, v)/sqrt2) and (-sigma, (u, -v)/sqrt2) of
+    A = [[0, M], [M^T, 0]], so the +-lambda pairing and the row/column sign
+    relation between paired eigenvectors are exact even for degenerate
+    eigenvalues, which a generic symmetric solver does not guarantee.  A is
+    never formed: the eigenpair residual, orthonormality and trace identity
+    are all checked on the n x n factors.  Deterministic given M.
     """
-    A = np.asarray(A, dtype=np.float64)
-    N = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != N:
-        raise ValueError("A must be square")
-    if N % 2 != 0:
-        raise ValueError("a symmetrization has even dimension")
-    h = N // 2
-    if (A[:h, :h] != 0).any() or (A[h:, h:] != 0).any():
-        raise ValueError("diagonal blocks must be zero (not a symmetrization)")
-    if not np.array_equal(A[:h, h:], A[h:, :h].T):
-        raise ValueError("A is not symmetric")
-
+    if M.m != M.n:
+        raise ValueError("eigendecompose expects a square matrix")
+    n = M.n
+    N = 2 * n
     if eig_tol is None:
-        fro = float(np.linalg.norm(A))
-        eig_tol = max(cfg.eig_tol_factor * fro, cfg.eig_tol_floor)
+        # ||A||_F = sqrt(2 |M|)
+        eig_tol = max(cfg.eig_tol_factor * math.sqrt(2.0 * M.ones),
+                      cfg.eig_tol_floor)
 
-    Mblock = A[:h, h:]
+    E = M.entries.astype(np.float64)
     try:
-        U, sigma, Vt = np.linalg.svd(Mblock)
+        U, sigma, Vt = np.linalg.svd(E)
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"decomposition did not converge: {exc}") from exc
     V = Vt.T
     # deterministic sign: largest-|entry| coordinate of each u is positive
-    for k in range(h):
-        col = U[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0:
-            U[:, k] = -col
-            V[:, k] = -V[:, k]
-
+    lead = U[np.argmax(np.abs(U), axis=0), np.arange(n)]
+    signs = np.where(lead < 0, -1.0, 1.0)
+    U *= signs
+    V *= signs
     lambdas = np.concatenate([sigma, -sigma[::-1]])
-    vectors = np.zeros((N, N))
-    s = 1.0 / math.sqrt(2.0)
-    vectors[:h, :h] = s * U
-    vectors[h:, :h] = s * V
-    vectors[:h, h:] = s * U[:, ::-1]
-    vectors[h:, h:] = -s * V[:, ::-1]
 
-    resid_mat = A @ vectors - vectors * lambdas[None, :]
-    residual = float(np.sqrt((resid_mat ** 2).sum(axis=0)).max())
-    gram = vectors.T @ vectors
-    ortho_error = float(np.abs(gram - np.eye(N)).max())
+    # eigenpair residual ||A w - lambda w|| of w = (u, +-v)/sqrt2, the same
+    # for both members of a pair
+    res = E @ V
+    res -= U * sigma
+    sq = (res ** 2).sum(axis=0)
+    res = E.T @ U
+    res -= V * sigma
+    sq += (res ** 2).sum(axis=0)
+    residual = float(np.sqrt(sq / 2.0).max())
+    eye = np.eye(n)
+    ortho_error = float(max(np.abs(U.T @ U - eye).max(),
+                            np.abs(V.T @ V - eye).max()))
     pairing_error = float(np.abs(lambdas + lambdas[::-1]).max())
     if residual > eig_tol:
         raise EigenError(
@@ -132,16 +142,14 @@ def eigendecompose(A: np.ndarray, eig_tol: float | None = None,
             f"{pairing_error:.3e}) exceeds tolerance {eig_tol:.3e}",
             residual=residual)
 
-    ones = int(round(A.sum() / 2.0))
-    trace_gap = abs(float((lambdas ** 2).sum()) - 2.0 * float((Mblock ** 2).sum()))
+    trace_gap = abs(2.0 * float((sigma ** 2).sum()) - 2.0 * M.ones)
     if trace_gap > N * eig_tol:
         raise EigenError(
             f"eigenvalue trace defect {trace_gap:.3e} exceeds "
             f"{N} * {eig_tol:.3e}", residual=residual)
-    return SpectralData(N=N, m=h, n=h, ones=ones, lambdas=lambdas,
-                        vectors=vectors, residual=residual,
-                        pairing_error=pairing_error, ortho_error=ortho_error,
-                        eig_tol=eig_tol, A=A)
+    return SpectralData(N=N, m=n, n=n, ones=M.ones, lambdas=lambdas, U=U,
+                        V=V, residual=residual, pairing_error=pairing_error,
+                        ortho_error=ortho_error, eig_tol=eig_tol, M=M)
 
 
 @dataclass
@@ -254,7 +262,10 @@ def witness(S: SpectralData, delta_max: int, matrix_hash: str = "",
     lam = S.lambdas[:h]
     coeffs = np.zeros(S.N)
     coeffs[:h] = lam ** 2 / delta_max
-    G = S.vectors[:, :h] * np.sqrt(coeffs[:h])[None, :]
+    # G = (s [U; V]) sqrt(c): the nonnegative-half eigenvectors, scaled in place
+    G = np.vstack([S.U, S.V])
+    G *= 1.0 / math.sqrt(2.0)
+    G *= np.sqrt(coeffs[:h])[None, :]
     diag = (G ** 2).sum(axis=1)
     diag_max = float(diag.max())
     if diag_max > 1.0 + cfg.diag_tol:
@@ -264,14 +275,7 @@ def witness(S: SpectralData, delta_max: int, matrix_hash: str = "",
     bound = float((lam[1:] ** 3).sum() / delta_max)
 
     # direct evaluation of disc(X) on the matrix the spectrum came from
-    E = S.A[:h, h:]
-    Gr, Gc = G[:h], G[h:]
-    inner_A = 2.0 * float(((E @ Gc) * Gr).sum())
-    e_part = G.sum(axis=0)
-    f_part = Gr.sum(axis=0) - Gc.sum(axis=0)
-    inner_L = 0.5 * float((e_part ** 2).sum() - (f_part ** 2).sum())
-    p = S.ones / (h * h)
-    disc_val = inner_A - p * inner_L
+    disc_val = _disc_of_factor(S.M, G)
 
     if disc_val < bound - cfg.num_tol(bound):
         raise CertificateError(
@@ -373,13 +377,13 @@ def lower_bound_disc(M: BinaryMatrix, r: int | None = None,
         raise RegimeError(
             f"average degree {float(d):.3f} exceeds n/2 = {n / 2}; "
             f"run on the complement instead")
+    if M.max_degree() * 10 <= 11 * d:  # Delta <= 1.1 d, exact comparison
+        S = eigendecompose(M, cfg=cfg)
+        return witness(S, M.max_degree(), matrix_hash=M.digest(), cfg=cfg)
+
     if r is None:
         r = exact_rank(M)
     delta = cfg.truncate_delta
-
-    if M.max_degree() * 10 <= 11 * d:  # Delta <= 1.1 d, exact comparison
-        S = eigendecompose(symmetrize(M), cfg=cfg)
-        return witness(S, M.max_degree(), matrix_hash=M.digest(), cfg=cfg)
 
     D = min(float(d) * n, math.sqrt(float(d)) * n ** 1.5 / (7.0 * math.sqrt(r)))
     Mp, t_r, t_c, U_r, U_c = truncate_high_degree(M, delta, cfg)
@@ -394,7 +398,7 @@ def lower_bound_disc(M: BinaryMatrix, r: int | None = None,
     if Mp.ones == 0:
         # would imply t_r + t_c >= |M| >= dn >= strip threshold; unreachable
         return _trivial_certificate(M)
-    S = eigendecompose(symmetrize(Mp), cfg=cfg)
+    S = eigendecompose(Mp, cfg=cfg)
     base = witness(S, Mp.max_degree(), matrix_hash=M.digest(), cfg=cfg)
     disc_val = _disc_of_factor(M, base.factor)
     transfer = 4.0 * (M.ones - Mp.ones)

@@ -6,11 +6,20 @@ counter-based streams, so every run sees the same matrices.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+import lowrankdisc
 from lowrankdisc import BinaryMatrix, fixtures
 from lowrankdisc.rng import generator
+
+# CLI tests start `python -m lowrankdisc.cli` in a child interpreter; let it
+# import the same checkout the suite imports, installed or not.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(lowrankdisc.__file__)),
+    os.environ.get("PYTHONPATH"))))
 
 
 def random_corpus(count: int, max_m: int, max_n: int, seed: int,

@@ -20,7 +20,7 @@ from lowrankdisc import (BinaryMatrix, MonoResult, best_half_rect, best_rect,
                          blow_up, disc0_plus, disc_minus, disc_of_psd,
                          disc_plus, eigendecompose, find_mono, fixtures,
                          lower_bound_disc, planted_sparse, random_binary,
-                         rank, regular_blowup, symmetrize, tightness_matrix,
+                         rank, regular_blowup, tightness_matrix,
                          witness, zero_submatrix_sparse)
 from lowrankdisc.config import DEFAULT
 from lowrankdisc.rng import generator
@@ -111,7 +111,7 @@ def test_criterion_05_cubesum_certificate(corpus_10):
     for M in corpus_10:
         if M.m != M.n or M.ones == 0:
             continue
-        S = eigendecompose(symmetrize(M))
+        S = eigendecompose(M)
         cert = witness(S, M.max_degree(), matrix_hash=M.digest())
         assert cert.diag_max <= 1 + 1e-8
         cubesum = float((S.lambdas[1:S.n] ** 3).sum()) / M.max_degree()
@@ -119,7 +119,7 @@ def test_criterion_05_cubesum_certificate(corpus_10):
         assert direct >= cubesum - DEFAULT.num_tol(cubesum)
         checked += 1
     I8 = fixtures("identity(8)")
-    cert8 = witness(eigendecompose(symmetrize(I8)), 1)
+    cert8 = witness(eigendecompose(I8), 1)
     assert abs(cert8.bound - 7.0) <= 1e-6
     assert cert8.disc_value >= 7.0 - 1e-6
     report(5, f"witness diag <= 1+1e-8 and disc(X) >= cube-sum bound on "

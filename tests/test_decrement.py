@@ -15,7 +15,7 @@ from lowrankdisc import (BinaryMatrix, DecrementStalled, MonoResult,
                          zero_submatrix_sparse)
 from lowrankdisc.config import DEFAULT
 from lowrankdisc.oracle import Rectangle
-from lowrankdisc.spectral import eigendecompose, symmetrize
+from lowrankdisc.spectral import eigendecompose
 
 from conftest import random_corpus
 
@@ -30,7 +30,7 @@ def test_gram_vectors_zero_witness():
 
 def test_gram_vectors_reconstruct_identity2_witness():
     I2 = fixtures("identity(2)")
-    cert = witness(eigendecompose(symmetrize(I2)), 1)
+    cert = witness(eigendecompose(I2), 1)
     V, W = gram_vectors(cert)
     G = np.vstack([V, W])
     assert np.abs(G @ G.T - cert.psd_matrix()).max() < 1e-7

@@ -1,5 +1,6 @@
 """Matrix core: construction, stats, rank, blow-up, submatrix, complement."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +194,13 @@ def test_text_round_trip():
 def test_text_format_shape():
     text = fixtures("identity(2)").to_text()
     assert text == "2 2\n10\n01\n"
+
+
+def test_digest_pinned_to_text_hash():
+    M = BinaryMatrix(np.array([[1, 0, 1], [0, 1, 1]]))
+    expected = hashlib.sha256(b"2 3\n101\n011\n").hexdigest()[:16]
+    assert expected == "61ee88a0741904fb"
+    assert M.digest() == expected
 
 
 def test_parse_rejects_ragged():

@@ -17,10 +17,6 @@ from lowrankdisc.rng import generator
 from conftest import random_corpus
 
 
-def spectral_of(M):
-    return eigendecompose(symmetrize(M))
-
-
 # -- symmetrize ------------------------------------------------------------------
 
 def test_symmetrize_identity2_is_matching():
@@ -52,14 +48,14 @@ def test_symmetrize_doubles_rank():
 
 def test_eigen_identity_spectrum():
     for n in (2, 5, 8):
-        S = spectral_of(fixtures(f"identity({n})"))
+        S = eigendecompose(fixtures(f"identity({n})"))
         assert np.allclose(S.lambdas[:n], 1.0)
         assert np.allclose(S.lambdas[n:], -1.0)
 
 
 def test_eigen_all_ones_spectrum():
     n = 4
-    S = spectral_of(fixtures(f"all_ones({n},{n})"))
+    S = eigendecompose(fixtures(f"all_ones({n},{n})"))
     assert abs(S.lambdas[0] - n) < 1e-9
     assert abs(S.lambdas[-1] + n) < 1e-9
     assert np.allclose(S.lambdas[1:-1], 0.0, atol=1e-9)
@@ -68,13 +64,13 @@ def test_eigen_all_ones_spectrum():
 def test_eigen_trace_identity():
     for seed in range(6):
         M = random_dense(8, 8, "1/2", seed=seed)
-        S = spectral_of(M)
+        S = eigendecompose(M)
         assert abs(float((S.lambdas ** 2).sum()) - 2 * M.ones) < 1e-9
 
 
 def test_eigen_descending_and_paired():
     M = random_dense(7, 7, "2/5", seed=50)
-    S = spectral_of(M)
+    S = eigendecompose(M)
     assert all(S.lambdas[i] >= S.lambdas[i + 1] - 1e-12 for i in range(S.N - 1))
     assert S.pairing_error <= S.eig_tol
     assert S.residual <= S.eig_tol
@@ -84,7 +80,7 @@ def test_eigen_descending_and_paired():
 def test_eigenvector_pairing_relation():
     # v_{N+1-i} agrees with v_i on rows and is opposite on columns
     M = random_dense(6, 6, "1/2", seed=51)
-    S = spectral_of(M)
+    S = eigendecompose(M)
     f = np.ones(S.N)
     f[S.m:] = -1.0
     for i in range(S.N):
@@ -96,20 +92,20 @@ def test_eigen_lambda1_between_avg_and_max_degree():
     for M in random_corpus(15, 8, 8, seed=52, min_m=8, min_n=8):
         if M.ones == 0:
             continue
-        S = spectral_of(M)
+        S = eigendecompose(M)
         d = float(M.avg_degree())
         assert S.lambdas[0] >= d - 1e-9
         assert S.lambdas[0] <= M.max_degree() + 1e-9
 
 
-def test_eigen_rejects_non_symmetrization():
+def test_eigen_rejects_non_square():
     with pytest.raises(ValueError):
-        eigendecompose(np.ones((4, 4)))
+        eigendecompose(fixtures("all_ones(2,3)"))
 
 
 def test_eigen_deterministic():
     M = random_dense(6, 6, "1/2", seed=53)
-    S1, S2 = spectral_of(M), spectral_of(M)
+    S1, S2 = eigendecompose(M), eigendecompose(M)
     assert np.array_equal(S1.lambdas, S2.lambdas)
     assert np.array_equal(S1.vectors, S2.vectors)
 
@@ -118,7 +114,7 @@ def test_eigen_deterministic():
 
 def test_witness_identity2_exact():
     I2 = fixtures("identity(2)")
-    cert = witness(spectral_of(I2), 1)
+    cert = witness(eigendecompose(I2), 1)
     assert np.allclose(cert.coeffs, [1, 1, 0, 0])
     assert abs(cert.disc_value - 1.0) < 1e-9
     assert abs(cert.bound - 1.0) < 1e-9
@@ -127,12 +123,12 @@ def test_witness_identity2_exact():
 def test_witness_all_ones_bound_zero():
     n = 4
     J = fixtures(f"all_ones({n},{n})")
-    cert = witness(spectral_of(J), n)
+    cert = witness(eigendecompose(J), n)
     assert abs(cert.bound) < 1e-9
 
 
 def test_witness_identity4_diag_half():
-    cert = witness(spectral_of(fixtures("identity(4)")), 1)
+    cert = witness(eigendecompose(fixtures("identity(4)")), 1)
     assert abs(cert.diag_max - 0.5) < 1e-9
 
 
@@ -140,14 +136,14 @@ def test_witness_diag_bounded_on_corpus():
     for M in random_corpus(15, 8, 8, seed=54, min_m=8, min_n=8):
         if M.ones == 0:
             continue
-        cert = witness(spectral_of(M), M.max_degree())
+        cert = witness(eigendecompose(M), M.max_degree())
         assert cert.diag_max <= 1.0 + DEFAULT.diag_tol
         assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
 
 
 def test_witness_rejects_tiny_degree():
     with pytest.raises(ValueError):
-        witness(spectral_of(fixtures("identity(2)")), 0)
+        witness(eigendecompose(fixtures("identity(2)")), 0)
 
 
 # -- disc_of_psd --------------------------------------------------------------------
@@ -159,7 +155,7 @@ def test_disc_of_psd_zero():
 
 def test_disc_of_psd_matches_witness_value():
     M = random_dense(6, 6, "1/2", seed=55)
-    cert = witness(spectral_of(M), M.max_degree())
+    cert = witness(eigendecompose(M), M.max_degree())
     direct = disc_of_psd(M, cert.psd_matrix())
     assert abs(direct - cert.disc_value) < 1e-8
 
@@ -167,7 +163,7 @@ def test_disc_of_psd_matches_witness_value():
 def test_disc_of_psd_eigenbasis_inner_product():
     # <X, A> equals sum a_i lambda_i for eigenbasis-diagonal X
     M = random_dense(5, 5, "1/2", seed=56)
-    S = spectral_of(M)
+    S = eigendecompose(M)
     gen = generator(57, 99)
     a = gen.random(S.N)
     X = (S.vectors * a[None, :]) @ S.vectors.T
@@ -198,18 +194,18 @@ def test_disc_of_psd_rejects_large_diagonal():
 # -- discX_bound --------------------------------------------------------------------
 
 def test_discX_bound_zero_coeffs():
-    S = spectral_of(fixtures("identity(3)"))
+    S = eigendecompose(fixtures("identity(3)"))
     assert discX_bound(S, np.zeros(6), Fraction(1, 3)) == 0
 
 
 def test_discX_bound_identity2_witness():
-    S = spectral_of(fixtures("identity(2)"))
+    S = eigendecompose(fixtures("identity(2)"))
     cert = witness(S, 1)
     assert abs(discX_bound(S, cert.coeffs, Fraction(1, 2)) - 1.0) < 1e-9
 
 
 def test_discX_bound_rejects_negative():
-    S = spectral_of(fixtures("identity(2)"))
+    S = eigendecompose(fixtures("identity(2)"))
     with pytest.raises(ValueError):
         discX_bound(S, [-1, 0, 0, 0], 0.5)
 
@@ -219,7 +215,7 @@ def test_discX_bound_below_disc_of_psd():
         M = random_dense(6, 6, "1/2", seed=seed)
         if M.ones == 0:
             continue
-        S = spectral_of(M)
+        S = eigendecompose(M)
         gen = generator(seed, 98)
         a = gen.random(S.N) * 0.1
         X = (S.vectors * a[None, :]) @ S.vectors.T
@@ -364,16 +360,49 @@ def test_truncated_witness_path_default_threshold():
     assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
 
 
-def test_strip_certificate_path():
-    # one heavy row in an otherwise sparse matrix triggers the strip branch
+def _heavy_row_sparse() -> "BinaryMatrix":
+    """One full row in an otherwise sparse matrix: the strip branch."""
+    from lowrankdisc import BinaryMatrix
+
     E = np.zeros((16, 16), dtype=np.uint8)
     E[0, :] = 1
     E[np.arange(4, 10), np.arange(4, 10)] = 1
-    from lowrankdisc import BinaryMatrix
-    M = BinaryMatrix(E)
-    cert = lower_bound_disc(M)
+    return BinaryMatrix(E)
+
+
+def test_strip_certificate_path():
+    cert = lower_bound_disc(_heavy_row_sparse())
     assert cert.kind == "strip"
     assert cert.rect is not None
     assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
     # strip value is exactly twice the rectangle disc
     assert abs(cert.disc_value - 2.0 * float(cert.rect.value)) < 1e-9
+
+
+def test_direct_branch_skips_rank(monkeypatch):
+    # Delta <= 1.1 d: the direct witness never reads r, so rank is not computed
+    import lowrankdisc.spectral as spectral
+
+    def no_rank(M):
+        raise AssertionError("rank computed on the direct branch")
+
+    monkeypatch.setattr(spectral, "exact_rank", no_rank)
+    cert = lower_bound_disc(regular_blowup(4, 2, 16, seed=60))
+    assert cert.kind == "spectral" and cert.bound > 0
+
+
+def test_certificate_branches_never_symmetrize(monkeypatch):
+    import lowrankdisc.spectral as spectral
+
+    def no_symmetrize(M):
+        raise AssertionError("symmetrization built on the certificate path")
+
+    monkeypatch.setattr(spectral, "symmetrize", no_symmetrize)
+    runs = [(regular_blowup(4, 2, 16, seed=60), DEFAULT, "spectral"),
+            (_heavy_row_sparse(), DEFAULT, "strip"),
+            (_nearly_regular(64, 16, 2),
+             DEFAULT.with_overrides(strip_frac=0.99), "spectral")]
+    for M, cfg, kind in runs:
+        cert = lower_bound_disc(M, cfg=cfg)
+        assert cert.kind == kind
+        assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
