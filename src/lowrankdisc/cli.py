@@ -75,8 +75,8 @@ def cmd_disc(args) -> int:
                 f"matrix side {min(M.m, M.n)} exceeds the exact oracle "
                 f"limit of {cfg.oracle_limit}; pass --heuristic for "
                 f"uncertified bounds")
-        plus = heuristic_rect(M, "+", seed=args.seed, cfg=cfg)
-        minus = heuristic_rect(M, "-", seed=args.seed, cfg=cfg)
+        plus = heuristic_rect(M, "+", seed=args.seed)
+        minus = heuristic_rect(M, "-", seed=args.seed)
         out["heuristic"] = True
     else:
         plus = best_rect(M, "+", cfg)

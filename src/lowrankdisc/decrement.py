@@ -23,7 +23,7 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import CapacityError, CertificateError, DecrementStalled, RankWitnessError
 from .matrix import BinaryMatrix, WeightedBinaryMatrix, complement, rank, submatrix
-from .oracle import Rectangle, best_half_rect
+from .oracle import Rectangle, _half_sizes, _respond, _scores, best_half_rect
 from .rng import STREAM_ROUND, STREAM_SEARCH, generator
 from .spectral import DiscCertificate, lower_bound_disc
 
@@ -47,7 +47,7 @@ def gram_vectors(C: DiscCertificate, cfg: Config = DEFAULT):
 
 
 def round_to_rect(M: BinaryMatrix, grams, trials: int, seed: int,
-                  stream: tuple[int, ...] = (), cfg: Config = DEFAULT) -> Rectangle:
+                  stream: tuple[int, ...] = ()) -> Rectangle:
     """Random-hyperplane rounding of Gram vectors to a negative rectangle.
 
     Each trial draws a Gaussian direction g, signs the vertices by the side
@@ -62,8 +62,7 @@ def round_to_rect(M: BinaryMatrix, grams, trials: int, seed: int,
     if V.shape[0] != m or W.shape[0] != n:
         raise ValueError("gram vector blocks do not match the matrix shape")
     E = M.int_entries()
-    mn = m * n
-    ones = M.ones
+    full = _scores(E, M.ones, np.ones(m, dtype=np.int64))
 
     best_val = 0
     best_rect = Rectangle(X=(), Y=(), value=Fraction(0))
@@ -72,23 +71,18 @@ def round_to_rect(M: BinaryMatrix, grams, trials: int, seed: int,
         g = generator(seed, STREAM_ROUND, *stream, t).standard_normal(k)
         x_pos = (V @ g) >= 0
         y_pos = (W @ g) >= 0
-        for xmask in (x_pos, ~x_pos):
-            nx = int(xmask.sum())
-            if nx == 0:
-                continue
-            colcounts = E[xmask].sum(axis=0)
+        pos = _scores(E, M.ones, x_pos)
+        # scores add over rows, so the other half's are full - pos; an empty
+        # side scores 0, which never beats best_val
+        for xmask, col in ((x_pos, pos), (~x_pos, full - pos)):
             for ymask in (y_pos, ~y_pos):
-                ny = int(ymask.sum())
-                if ny == 0:
-                    continue
-                sub = int(colcounts[ymask].sum())
-                val = mn * sub - ones * nx * ny
+                val = int(col[ymask].sum())
                 if val < best_val:
                     best_val = val
                     best_rect = Rectangle(
                         X=tuple(int(i) for i in np.nonzero(xmask)[0]),
                         Y=tuple(int(j) for j in np.nonzero(ymask)[0]),
-                        value=Fraction(val, mn))
+                        value=Fraction(val, m * n))
     return best_rect
 
 
@@ -97,6 +91,7 @@ def adjust_to_half(M: BinaryMatrix, R: Rectangle,
                    col_size: int | None = None) -> Rectangle:
     """Resize a rectangle to exact half (or given) sizes, greedily.
 
+    A missing size defaults to half its side, which must then be even.
     Rows first: grow X with the smallest-marginal missing rows, or shrink
     it by dropping the largest-marginal members; then the same for columns
     against the final X.  Marginals are exact and additive, so the greedy
@@ -104,14 +99,8 @@ def adjust_to_half(M: BinaryMatrix, R: Rectangle,
     prefer the lowest index.
     """
     m, n = M.shape
-    if row_size is None or col_size is None:
-        if m % 2 or n % 2:
-            raise ValueError("default half sizes require even dimensions")
-        row_size = m // 2 if row_size is None else row_size
-        col_size = n // 2 if col_size is None else col_size
+    row_size, col_size = _half_sizes(M, row_size, col_size)
     E = M.int_entries()
-    mn = m * n
-    ones = M.ones
 
     xmask = np.zeros(m, dtype=bool)
     if R.X:
@@ -122,35 +111,28 @@ def adjust_to_half(M: BinaryMatrix, R: Rectangle,
 
     def resize(mask, marg, target):
         have = int(mask.sum())
+        mask = mask.copy()
         if have < target:
-            cand = np.nonzero(~mask)[0]
-            order = cand[np.argsort(marg[cand], kind="stable")]
-            mask = mask.copy()
-            mask[order[:target - have]] = True
+            cand = np.flatnonzero(~mask)
+            mask[cand[_respond(marg[cand], "-", target - have)]] = True
         elif have > target:
-            members = np.nonzero(mask)[0]
-            order = members[np.argsort(-marg[members], kind="stable")]
-            mask = mask.copy()
-            mask[order[:have - target]] = False
+            members = np.flatnonzero(mask)
+            mask[members[_respond(marg[members], "+", have - target)]] = False
         return mask
 
-    row_marg = mn * (E @ ymask.astype(np.int64)) - ones * int(ymask.sum())
-    xmask = resize(xmask, row_marg, row_size)
-    col_marg = mn * (xmask.astype(np.int64) @ E) - ones * int(xmask.sum())
+    xmask = resize(xmask, _scores(E.T, M.ones, ymask), row_size)
+    col_marg = _scores(E, M.ones, xmask)
     ymask = resize(ymask, col_marg, col_size)
-
-    sub = int(E[xmask][:, ymask].sum())
-    val = mn * sub - ones * row_size * col_size
     return Rectangle(X=tuple(int(i) for i in np.nonzero(xmask)[0]),
                      Y=tuple(int(j) for j in np.nonzero(ymask)[0]),
-                     value=Fraction(val, mn))
+                     value=Fraction(int(col_marg[ymask].sum()), m * n))
 
 
 # -- local search ---------------------------------------------------------------
 
 def _half_local_search(M: BinaryMatrix, start: Rectangle, row_size: int,
                        col_size: int, seed: int, stream: tuple[int, ...],
-                       budget: int, cfg: Config = DEFAULT) -> Rectangle:
+                       budget: int) -> Rectangle:
     """Alternating best-response descent with seeded random restarts.
 
     One descent round replaces X by the exact best row set of size row_size
@@ -160,46 +142,29 @@ def _half_local_search(M: BinaryMatrix, start: Rectangle, row_size: int,
     """
     m, n = M.shape
     E = M.int_entries()
-    mn = m * n
-    ones = M.ones
 
-    def best_rows_for(ymask):
-        marg = mn * (E @ ymask.astype(np.int64)) - ones * int(ymask.sum())
-        order = np.argsort(marg, kind="stable")
-        mask = np.zeros(m, dtype=bool)
-        mask[order[:row_size]] = True
-        return mask
-
-    def best_cols_for(xmask):
-        marg = mn * (xmask.astype(np.int64) @ E) - ones * int(xmask.sum())
-        order = np.argsort(marg, kind="stable")
-        mask = np.zeros(n, dtype=bool)
-        mask[order[:col_size]] = True
-        return mask
-
-    def value_of(xmask, ymask):
-        return mn * int(E[xmask][:, ymask].sum()) - ones * row_size * col_size
+    def respond(ymask):
+        xmask = _respond(_scores(E.T, M.ones, ymask), "-", row_size)
+        col = _scores(E, M.ones, xmask)
+        ymask = _respond(col, "-", col_size)
+        return int(col[ymask].sum()), xmask, ymask
 
     def descend(ymask, budget_left):
-        xmask = best_rows_for(ymask)
-        ymask = best_cols_for(xmask)
-        val = value_of(xmask, ymask)
+        val, xmask, ymask = respond(ymask)
         budget_left -= m + n
         while budget_left > 0:
-            x2 = best_rows_for(ymask)
-            y2 = best_cols_for(x2)
-            v2 = value_of(x2, y2)
+            v2, x2, y2 = respond(ymask)
             budget_left -= m + n
             if v2 >= val:
                 break
             xmask, ymask, val = x2, y2, v2
         return val, xmask, ymask, budget_left
 
-    ymask0 = np.zeros(n, dtype=bool)
     if start.Y:
+        ymask0 = np.zeros(n, dtype=bool)
         ymask0[list(start.Y)] = True
     else:
-        ymask0[np.argsort(M.col_deg, kind="stable")[:col_size]] = True
+        ymask0 = _respond(M.col_deg, "-", col_size)
 
     best_val, best_x, best_y, budget = descend(ymask0, budget)
 
@@ -224,7 +189,7 @@ def _half_local_search(M: BinaryMatrix, start: Rectangle, row_size: int,
 
     return Rectangle(X=tuple(int(i) for i in np.nonzero(best_x)[0]),
                      Y=tuple(int(j) for j in np.nonzero(best_y)[0]),
-                     value=Fraction(best_val, mn))
+                     value=Fraction(best_val, m * n))
 
 
 # -- one decrement step ----------------------------------------------------------
@@ -282,14 +247,14 @@ def decrement_step(M: BinaryMatrix, r: int | None = None, seed: int = 0,
     cert = lower_bound_disc(M, r=r, cfg=cfg)
     grams = gram_vectors(cert, cfg)
     rough = round_to_rect(M, grams, trials=cfg.rounding_trials, seed=seed,
-                          stream=(step_index,), cfg=cfg)
+                          stream=(step_index,))
     rect = adjust_to_half(M, rough, row_size=target, col_size=target)
     if rect.value < 0:
         return finish(rect, "rounding")
 
     budget = cfg.local_budget_factor * n
     rect2 = _half_local_search(M, rect, target, target, seed,
-                               (step_index,), budget, cfg)
+                               (step_index,), budget)
     if rect2.value < 0:
         return finish(rect2, "local_search")
     best = rect2 if rect2.value <= rect.value else rect

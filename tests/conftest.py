@@ -10,10 +10,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import lowrankdisc
 from lowrankdisc import BinaryMatrix, fixtures
 from lowrankdisc.rng import generator
+
+# Property tests draw the same examples on every run (derandomize also turns
+# off the example database), and a slow machine cannot fail them on time.
+settings.register_profile("lowrankdisc", derandomize=True, deadline=None)
+settings.load_profile("lowrankdisc")
 
 # CLI tests start `python -m lowrankdisc.cli` in a child interpreter; let it
 # import the same checkout the suite imports, installed or not.

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from lowrankdisc import BinaryMatrix
-from lowrankdisc.oracle import Rectangle
+from lowrankdisc.oracle import Rectangle, SignVectorPair
 
 
 def _indicator_table(size: int) -> np.ndarray:
@@ -41,30 +41,42 @@ def naive_best_rect(M: BinaryMatrix, sign: str) -> Rectangle:
     return Rectangle(X=X, Y=Y, value=Fraction(int(scaled.flat[flat]), mn))
 
 
-def naive_best_half_rect(M: BinaryMatrix, sign: str) -> Fraction:
-    """Optimal disc over |X| = m/2, |Y| = n/2 by full enumeration."""
+def naive_best_half_rect(M: BinaryMatrix, sign: str) -> Rectangle:
+    """Optimal rectangle over |X| = m/2, |Y| = n/2 by full enumeration.
+
+    Ties keep the smallest X mask, then the smallest Y mask.
+    """
     assert M.m % 2 == 0 and M.n % 2 == 0
     E = M.int_entries()
     mn = M.m * M.n
     IX = _indicator_table(M.m)
     IY = _indicator_table(M.n)
-    keep_x = IX.sum(axis=1) == M.m // 2
-    keep_y = IY.sum(axis=1) == M.n // 2
-    counts = IX[keep_x] @ E @ IY[keep_y].T
-    scaled = mn * counts - M.ones * (M.m // 2) * (M.n // 2)
-    val = int(scaled.max()) if sign == "+" else int(scaled.min())
-    return Fraction(val, mn)
+    IX = IX[IX.sum(axis=1) == M.m // 2]
+    IY = IY[IY.sum(axis=1) == M.n // 2]
+    scaled = mn * (IX @ E @ IY.T) - M.ones * (M.m // 2) * (M.n // 2)
+    flat = int(np.argmax(scaled) if sign == "+" else np.argmin(scaled))
+    xi, yi = divmod(flat, len(IY))
+    return Rectangle(X=tuple(int(i) for i in np.flatnonzero(IX[xi])),
+                     Y=tuple(int(j) for j in np.flatnonzero(IY[yi])),
+                     value=Fraction(int(scaled.flat[flat]), mn))
 
 
-def naive_disc0(M: BinaryMatrix) -> Fraction:
-    """max x^T (M - pJ) y over sign vectors, by enumerating both sides."""
+def naive_disc0(M: BinaryMatrix) -> SignVectorPair:
+    """max x^T (M - pJ) y over sign vectors, by enumerating both sides.
+
+    x and y are +1 on the bits of their masks.  Ties keep the smallest x
+    mask and, for that x, the largest y mask (+1 wherever y_j is free).
+    """
     E = M.int_entries()
     mn = M.m * M.n
     SX = 2 * _indicator_table(M.m) - 1
-    SY = 2 * _indicator_table(M.n) - 1
+    SY = (2 * _indicator_table(M.n) - 1)[::-1]
     scaled_M = mn * E - M.ones
     vals = SX @ scaled_M @ SY.T
-    return Fraction(int(vals.max()), mn)
+    xi, yi = divmod(int(np.argmax(vals)), len(SY))
+    return SignVectorPair(x=tuple(int(v) for v in SX[xi]),
+                          y=tuple(int(v) for v in SY[yi]),
+                          value=Fraction(int(vals[xi, yi]), mn))
 
 
 def fraction_rank(M: BinaryMatrix) -> int:

@@ -100,6 +100,17 @@ def test_adjust_grows_and_shrinks():
     assert out.verify(M)
 
 
+def test_adjust_defaults_only_the_missing_side():
+    # 3 rows, but the row size is given: only the 4 columns must halve
+    M = random_dense(3, 4, "1/2", seed=72)
+    R = Rectangle(X=(0, 2), Y=(1,), value=Fraction(0))
+    out = adjust_to_half(M, R, row_size=1)
+    assert out.shape == (1, 2)
+    assert out.verify(M)
+    with pytest.raises(ValueError):
+        adjust_to_half(M, R, row_size=4, col_size=2)  # more rows than M has
+
+
 def test_adjust_from_oracle_rect_meets_claim_bound(corpus_8x8):
     # growing the optimal negative rectangle greedily keeps a twelfth of it
     for M in corpus_8x8:

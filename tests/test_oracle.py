@@ -1,12 +1,17 @@
 """Exact discrepancy oracle: values, optima, invariants, tie-breaking."""
 
+import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from lowrankdisc import (CapacityError, best_half_rect, best_rect, blow_up,
-                         disc0_plus, disc_minus, disc_plus, disc_value,
-                         fixtures, heuristic_rect, random_dense)
+from lowrankdisc import (BinaryMatrix, CapacityError, best_half_rect,
+                         best_rect, blow_up, disc0_plus, disc_minus, disc_plus,
+                         disc_value, fixtures, heuristic_rect, oracle,
+                         random_dense)
 from conftest import random_corpus, small_fixtures
 from naive import naive_best_half_rect, naive_best_rect, naive_disc0
 
@@ -151,7 +156,7 @@ def test_half_rect_matches_naive(corpus_8x8):
     for M in corpus_8x8[:25]:
         for sign in "+-":
             got = best_half_rect(M, sign)
-            assert got.value == naive_best_half_rect(M, sign)
+            assert got == naive_best_half_rect(M, sign)
             assert got.verify(M)
             assert got.shape == (4, 4)
 
@@ -167,6 +172,16 @@ def test_half_rect_explicit_sizes():
     r = best_half_rect(M, "-", row_size=2, col_size=2)
     assert r.shape == (2, 2)
     assert r.verify(M)
+
+
+def test_half_rect_defaults_only_the_missing_side():
+    # 3 rows, but the row size is given: only the 4 columns must halve
+    M = random_dense(3, 4, "1/2", seed=35)
+    r = best_half_rect(M, "-", row_size=1)
+    assert r.shape == (1, 2)
+    assert r.verify(M)
+    with pytest.raises(ValueError):
+        best_half_rect(M.transpose(), "-", row_size=2)
 
 
 # -- disc0_plus --------------------------------------------------------------------
@@ -185,7 +200,7 @@ def test_disc0_identity2_value():
 def test_disc0_matches_naive(corpus_mixed):
     for M in corpus_mixed[:40]:
         got = disc0_plus(M)
-        assert got.value == naive_disc0(M)
+        assert got.value == naive_disc0(M).value
         assert got.verify(M)
 
 
@@ -235,3 +250,44 @@ def test_disc0_full_blowup_scaling():
         mn = M.m * M.n
         assert (Fraction(disc0_plus(big).value, mn * mn)
                 == Fraction(disc0_plus(M).value, mn))
+
+
+def test_oracle_memory_bounded_on_wide_matrix():
+    # the enumeration works in chunks of bounded size whatever the width
+    M = random_dense(10, 8000, "1/2", seed=36)
+    for call in (lambda: best_rect(M, "+"), lambda: disc0_plus(M)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+# -- tie-breaking against the naive oracles -------------------------------------------
+
+@st.composite
+def small_wide_matrices(draw):
+    """0/1 matrices up to 6 x 6 with m <= n; half are tie-heavy blow-ups."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        a = draw(st.integers(1, 6 // k))
+        b = draw(st.integers(a, 6 // k))
+        return blow_up(fixtures(f"identity({k})"), a, b)
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(m, 6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n))
+    return BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(m, n))
+
+
+@given(small_wide_matrices(), st.sampled_from([oracle._CHUNK_BITS, 4]))
+def test_oracles_break_ties_like_naive(M, chunk_bits):
+    # smallest row mask first, then the naive oracles' column choice; with
+    # 4 chunk bits a chunk holds 2 to 16 masks, so ties also span chunks
+    with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
+        for sign in "+-":
+            assert best_rect(M, sign) == naive_best_rect(M, sign)
+            if M.m % 2 == 0 and M.n % 2 == 0:
+                assert best_half_rect(M, sign) == naive_best_half_rect(M, sign)
+        assert disc0_plus(M) == naive_disc0(M)
