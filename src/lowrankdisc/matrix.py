@@ -5,7 +5,9 @@ density-decrement loop) leans on these invariants:
 
   * entries are 0/1, stored dense, immutable after construction;
   * counts (ones, degrees) are integers, densities are Fractions;
-  * rank is exact over the rationals, via fraction-free elimination.
+  * rank is exact over the rationals: elimination over GF(p) gives a lower
+    bound, a p-adic certificate in float64 matmuls proves it is also an
+    upper bound, and the result is memoized on the matrix.
 """
 
 from __future__ import annotations
@@ -13,20 +15,23 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
 from .config import DEFAULT
 from .errors import CapacityError, MatrixParseError
 
-_MODP = 1_000_003  # prime for the exact full-rank fast path
+# First prime of the exact rank; the primes after it are tried only when it
+# divides a minor that decides the rank.
+_MODP = 1_000_003
 
 
 class BinaryMatrix:
     """Immutable dense 0/1 matrix with cached degree vectors."""
 
-    __slots__ = ("entries", "m", "n", "ones", "row_deg", "col_deg", "_digest")
+    __slots__ = ("entries", "m", "n", "ones", "row_deg", "col_deg", "_digest",
+                 "_rank")
 
     def __init__(self, entries, capacity: int = DEFAULT.dense_capacity):
         E = np.ascontiguousarray(entries, dtype=np.uint8)
@@ -47,6 +52,7 @@ class BinaryMatrix:
         self.col_deg.setflags(write=False)
         self.ones = int(self.row_deg.sum())
         self._digest = None
+        self._rank = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -141,10 +147,17 @@ def density_stats(M: BinaryMatrix) -> DensityStats:
 
 # -- exact rank ---------------------------------------------------------------
 
-def _rank_mod_p(E: np.ndarray, p: int = _MODP) -> int:
-    """Rank over GF(p); always a lower bound on the rational rank."""
+def _pivots_mod_p(E: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot rows and pivot columns of Gaussian elimination over GF(p).
+
+    Their number is the rank over GF(p), a lower bound on the rational rank.
+    Rows come in pivot order, so every leading principal minor of the pivot
+    block E[rows][:, cols] is nonzero mod p.
+    """
     A = (E.astype(np.int64)) % p
     m, n = A.shape
+    perm = np.arange(m)
+    cols = []
     r = 0
     for c in range(n):
         if r == m:
@@ -155,60 +168,105 @@ def _rank_mod_p(E: np.ndarray, p: int = _MODP) -> int:
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
+            perm[[r, i]] = perm[[i, r]]
         inv = pow(int(A[r, c]), p - 2, p)
         if r + 1 < m:
             factors = (A[r + 1:, c] * inv) % p
             A[r + 1:, c + 1:] = (A[r + 1:, c + 1:]
                                  - factors[:, None] * A[r, c + 1:][None, :]) % p
             A[r + 1:, c] = 0
+        cols.append(c)
         r += 1
-    return r
+    return perm[:r], np.array(cols, dtype=np.int64)
 
 
-def _rank_bareiss(E: np.ndarray, pivot: str = "first") -> int:
-    """Fraction-free (integer-preserving) elimination; exact rational rank.
+def _inverse_mod_p(B: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of a float64 matrix whose leading principal minors are
+    all nonzero mod p, by 2 x 2 block elimination (no pivoting needed).
 
-    Entries stay integers throughout (they are minors of the original
-    matrix), so there is no rounding anywhere.  `pivot` selects which
-    nonzero candidate becomes the pivot; any choice yields the same rank.
+    Entries stay in [0, p); every product is an exact float64 matmul while
+    side * p^2 < 2^53.
     """
-    A = E.astype(object)
-    m, n = A.shape
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m:
-            break
-        col = A[r:, c]
-        nz = [i for i, v in enumerate(col) if v != 0]
-        if not nz:
-            continue
-        i = r + (nz[0] if pivot == "first" else nz[-1])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        piv = A[r, c]
-        if r + 1 < m:
-            block = piv * A[r + 1:, c + 1:] - np.outer(A[r + 1:, c], A[r, c + 1:])
-            if prev != 1:
-                block //= prev
-            A[r + 1:, c + 1:] = block
-            A[r + 1:, c] = 0
-        prev = piv
-        r += 1
-    return r
+    r = len(B)
+    if r <= 1:
+        return np.array([pow(int(b), p - 2, p) for b in B.flat],
+                        dtype=np.float64).reshape(B.shape)
+    h = r // 2
+    Ai = _inverse_mod_p(B[:h, :h], p)
+    T = np.mod(Ai @ B[:h, h:], p)
+    Si = _inverse_mod_p(np.mod(B[h:, h:] - B[h:, :h] @ T, p), p)
+    X21 = np.mod(-np.mod(Si @ B[h:, :h], p) @ Ai, p)
+    out = np.empty_like(B)
+    out[:h, :h] = np.mod(Ai - T @ X21, p)
+    out[:h, h:] = np.mod(-T @ Si, p)
+    out[h:, :h] = X21
+    out[h:, h:] = Si
+    return out
+
+
+def _schur_vanishes(E: np.ndarray, R: np.ndarray, C: np.ndarray,
+                    p: int) -> bool:
+    """True iff rank(E) over the rationals equals len(R).
+
+    B = E[R, C] is nonsingular mod p, hence over Q, so the rank is len(R)
+    plus the rank of the Schur complement S = E[R', C'] - E[R', C] B^-1
+    E[R, C'] on the other rows R' and columns C'.  det(B) * S holds
+    bordered 0/1 minors, each at most H = (r+1)^((r+1)/2) in absolute
+    value.  X = B^-1 E[R, C'] is lifted p-adically (Dixon) digit by digit;
+    W tracks (E[R', C'] - E[R', C] X_<k) / p^k, which must stay integral.
+    Once p^k > H, det(B) * S is divisible by p^k and so zero.  If the
+    residual rhs reaches zero, X is exact and S = p^k W.  False means p
+    divided a nonzero minor: the GF(p) rank was too small.
+    """
+    r = len(R)
+    # |rhs|, |W| <= r + 1 throughout, so the lift's sums stay under r(r+1)p
+    # and the inverse's under r p^2: every matmul is exact in float64
+    assert r * max(r + 1, p) * p < 2 ** 53, "modulus too large for float64"
+    Rc = np.delete(np.arange(E.shape[0]), R)
+    Cc = np.delete(np.arange(E.shape[1]), C)
+    B = E[np.ix_(R, C)].astype(np.float64)
+    A = E[np.ix_(Rc, C)].astype(np.float64)
+    rhs = E[np.ix_(R, Cc)].astype(np.float64)
+    W = E[np.ix_(Rc, Cc)].astype(np.float64)
+    Bi = _inverse_mod_p(B, p)
+    hadamard_sq, pk_sq = (r + 1) ** (r + 1), 1
+    while pk_sq <= hadamard_sq:
+        if not rhs.any():
+            return not W.any()
+        X = np.mod(Bi @ rhs, p)
+        rhs = (rhs - B @ X) / p
+        W -= A @ X
+        Q = np.rint(W / p)  # exact quotient iff p divides every entry
+        if (Q * p != W).any():
+            return False
+        W = Q
+        pk_sq *= p * p
+    return True
+
+
+def _next_prime(p: int) -> int:
+    p += 1
+    while any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        p += 1
+    return p
 
 
 def rank(M: BinaryMatrix) -> int:
-    """Exact rank over the rationals.
+    """Exact rank over the rationals, memoized on M.
 
-    A single modular elimination certifies full rank outright (rank over
-    GF(p) never exceeds the rational rank); otherwise fraction-free
-    elimination settles it exactly.
+    Elimination over GF(p) gives pivot rows R and columns C; full rank is
+    then certain, and otherwise `_schur_vanishes` proves rank <= |R| with
+    float64 matmuls.  If p divided a minor, the next prime is tried.
     """
-    rp = _rank_mod_p(M.entries)
-    if rp == min(M.m, M.n):
-        return rp
-    return _rank_bareiss(M.entries)
+    if M._rank is None:
+        p = _MODP
+        R, C = _pivots_mod_p(M.entries, p)
+        while (len(R) < min(M.m, M.n)
+               and not _schur_vanishes(M.entries, R, C, p)):
+            p = _next_prime(p)
+            R, C = _pivots_mod_p(M.entries, p)
+        M._rank = len(R)
+    return M._rank
 
 
 # -- structural operations ----------------------------------------------------

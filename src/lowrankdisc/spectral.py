@@ -128,9 +128,14 @@ def eigendecompose(M: BinaryMatrix, eig_tol: float | None = None,
     res -= V * sigma
     sq += (res ** 2).sum(axis=0)
     residual = float(np.sqrt(sq / 2.0).max())
-    eye = np.eye(n)
-    ortho_error = float(max(np.abs(U.T @ U - eye).max(),
-                            np.abs(V.T @ V - eye).max()))
+    # one n x n Gram matrix at a time, checked in place: the peak memory
+    # of a certificate call is set here
+    del res
+    ortho_error = 0.0
+    for F in (U, V):
+        gram = F.T @ F
+        gram[np.diag_indices(n)] -= 1.0
+        ortho_error = max(ortho_error, float(np.abs(gram, out=gram).max()))
     pairing_error = float(np.abs(lambdas + lambdas[::-1]).max())
     if residual > eig_tol:
         raise EigenError(
@@ -266,7 +271,8 @@ def witness(S: SpectralData, delta_max: int, matrix_hash: str = "",
     G = np.vstack([S.U, S.V])
     G *= 1.0 / math.sqrt(2.0)
     G *= np.sqrt(coeffs[:h])[None, :]
-    diag = (G ** 2).sum(axis=1)
+    # G squared in two halves: the same row sums, half the temporary
+    diag = np.concatenate([(B ** 2).sum(axis=1) for B in (G[:h], G[h:])])
     diag_max = float(diag.max())
     if diag_max > 1.0 + cfg.diag_tol:
         raise CertificateError(

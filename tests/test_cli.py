@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from lowrankdisc import fixtures, random_dense
+from lowrankdisc import fixtures, matrix, random_dense
 from lowrankdisc.cli import main
 from lowrankdisc.experiment import CSV_HEADER, ExperimentConfig, render_csv, run_experiment
 
@@ -210,6 +210,19 @@ def test_experiment_byte_identical_across_threads(tmp_path):
     a = render_csv(run_experiment(config, threads=1))
     b = render_csv(run_experiment(config, threads=8))
     assert a == b
+
+
+def test_experiment_eliminates_each_matrix_once(tmp_path, monkeypatch):
+    # the bundle's rank is memoized on the matrix, so find_mono reuses it
+    # (one seed: identity(8) is the same matrix under every seed)
+    seen = []
+    eliminate = matrix._pivots_mod_p
+    monkeypatch.setattr(matrix, "_pivots_mod_p", lambda E, p: seen.append(
+        (E.shape, E.tobytes())) or eliminate(E, p))
+    config = ExperimentConfig.from_file(
+        exp_config(tmp_path, ops=("bound", "mono")))
+    run_experiment(config, threads=1)
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_experiment_invalid_config(tmp_path, capsys):

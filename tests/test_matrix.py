@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lowrankdisc import (BinaryMatrix, CapacityError, MatrixParseError,
                          WeightedBinaryMatrix, blow_up, complement,
                          density_stats, fixtures, random_dense, rank,
                          submatrix)
-from lowrankdisc.matrix import _rank_bareiss, _rank_mod_p
+from lowrankdisc import matrix
+from lowrankdisc.matrix import _MODP, _pivots_mod_p
 
 from conftest import random_corpus
 from naive import fraction_rank, minor_rank
@@ -79,16 +81,76 @@ def test_rank_matches_minor_expansion_small():
         assert rank(M) == minor_rank(M)
 
 
-def test_rank_pivot_orders_agree():
+def test_rank_matches_fraction_rank_up_to_7x7():
     for M in random_corpus(30, 7, 7, seed=10):
-        first = _rank_bareiss(M.entries, pivot="first")
-        last = _rank_bareiss(M.entries, pivot="last")
-        assert first == last == rank(M)
+        assert rank(M) == fraction_rank(M)
 
 
 def test_rank_mod_p_is_lower_bound():
     for M in random_corpus(20, 6, 6, seed=11):
-        assert _rank_mod_p(M.entries) <= rank(M)
+        rows, cols = _pivots_mod_p(M.entries, _MODP)
+        assert len(rows) == len(cols) <= rank(M)
+
+
+@st.composite
+def rank_matrices(draw):
+    """0/1 matrices up to 8 x 8: plain, with rows and columns duplicated
+    into shuffled positions, or blow-ups."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    E = (np.random.default_rng(seed).random((m, n)) < 0.5).astype(np.uint8)
+    kind = draw(st.sampled_from(["plain", "duplicated", "blow_up"]))
+    if kind == "duplicated":
+        rows = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8))
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+        E = E[np.ix_(rows, cols)]
+    elif kind == "blow_up":
+        a, b = draw(st.integers(1, 8 // m)), draw(st.integers(1, 8 // n))
+        E = blow_up(BinaryMatrix(E), a, b).entries
+    return E
+
+
+@given(rank_matrices())
+def test_rank_exact_whatever_the_first_prime(E):
+    # p = 2 and p = 3 divide some nonzero minors, so for some of these
+    # matrices the certificate rejects the GF(p) rank and the next prime
+    # is tried
+    expected = fraction_rank(BinaryMatrix(E))
+    for p in (2, 3, _MODP):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix, "_MODP", p)
+            assert rank(BinaryMatrix(E)) == expected
+
+
+@pytest.mark.parametrize("E", [
+    [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+    # the same columns reordered: the pivot block is the identity, so the
+    # lift ends exactly after one step with a nonzero remainder
+    [[1, 0, 1], [0, 1, 1], [1, 1, 0]],
+])
+def test_rank_retries_after_unlucky_prime(monkeypatch, E):
+    # det = 2: singular over GF(2), nonsingular over Q
+    E = np.array(E, dtype=np.uint8)
+    assert len(_pivots_mod_p(E, 2)[0]) == 2
+    monkeypatch.setattr(matrix, "_MODP", 2)
+    assert rank(BinaryMatrix(E)) == 3 == fraction_rank(BinaryMatrix(E))
+
+
+def test_rank_certified_with_duplicated_rows_and_columns():
+    # The expected rank comes from the construction: N is nonsingular over
+    # GF(p), hence over Q, and copies of rows or columns add no rank.  The
+    # second matrix appends random columns before copying rows, so the
+    # columns outside the pivots are not copies and the certificate lifts
+    # through all its p-adic steps (22 at rank 120).
+    k, s = 120, 6
+    gen = np.random.default_rng(12)
+    N = (gen.random((k, k)) < 0.5).astype(np.uint8)
+    assert len(_pivots_mod_p(N, _MODP)[0]) == k
+    rows = gen.permutation(np.concatenate([np.arange(k), gen.choice(k, s)]))
+    cols = gen.permutation(np.concatenate([np.arange(k), gen.choice(k, s)]))
+    assert rank(BinaryMatrix(N[np.ix_(rows, cols)])) == k
+    wide = np.hstack([N, (gen.random((k, s)) < 0.5).astype(np.uint8)])
+    assert rank(BinaryMatrix(wide[np.ix_(rows, gen.permutation(k + s))])) == k
 
 
 # -- blow_up ---------------------------------------------------------------------
