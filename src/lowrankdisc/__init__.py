@@ -26,8 +26,8 @@ from .experiment import (CSV_HEADER, ExperimentConfig, ReportRow, render_csv,
 from .matrix import (BinaryMatrix, DensityStats, WeightedBinaryMatrix,
                      blow_up, complement, density_stats, rank, submatrix)
 from .oracle import (Rectangle, SignVectorPair, best_half_rect, best_rect,
-                     disc0_plus, disc_max, disc_minus, disc_plus, disc_value,
-                     heuristic_rect)
+                     best_rect_pair, disc0_plus, disc_max, disc_minus,
+                     disc_plus, disc_value, heuristic_rect)
 from .spectral import (DiscCertificate, SpectralData, disc_of_psd,
                        discX_bound, eigendecompose, lower_bound_disc,
                        symmetrize, truncate_high_degree, witness)
@@ -42,12 +42,12 @@ __all__ = [
     "MonoResult", "PermutationWitness", "RankWitnessError", "Rectangle",
     "RegimeError", "ReportRow", "SignVectorPair", "SpectralData",
     "StepRecord", "WeightedBinaryMatrix", "adjust_to_half", "best_half_rect",
-    "best_rect", "blow_up", "complement", "decrement_step", "density_stats",
-    "disc0_plus", "disc_max", "disc_minus", "disc_of_psd", "disc_plus",
-    "disc_value", "discX_bound", "eigendecompose", "find_mono", "fixtures",
-    "gram_vectors", "heuristic_rect", "lower_bound_disc", "planted_sparse",
-    "random_binary", "random_dense", "rank", "regular_blowup",
-    "render_csv", "round_to_rect", "run_experiment", "submatrix",
-    "symmetrize", "tightness_matrix", "truncate_high_degree", "witness",
-    "zero_submatrix_sparse",
+    "best_rect", "best_rect_pair", "blow_up", "complement", "decrement_step",
+    "density_stats", "disc0_plus", "disc_max", "disc_minus", "disc_of_psd",
+    "disc_plus", "disc_value", "discX_bound", "eigendecompose", "find_mono",
+    "fixtures", "gram_vectors", "heuristic_rect", "lower_bound_disc",
+    "planted_sparse", "random_binary", "random_dense", "rank",
+    "regular_blowup", "render_csv", "round_to_rect", "run_experiment",
+    "submatrix", "symmetrize", "tightness_matrix", "truncate_high_degree",
+    "witness", "zero_submatrix_sparse",
 ]

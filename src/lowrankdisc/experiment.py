@@ -21,7 +21,7 @@ from .constructions import GenSpec
 from .decrement import find_mono
 from .errors import LowRankDiscError
 from .matrix import WeightedBinaryMatrix, rank
-from .oracle import disc0_plus, disc_minus, disc_plus
+from .oracle import best_rect_pair, disc0_plus
 from .spectral import lower_bound_disc
 
 OPS = ("disc_exact", "disc0", "bound", "mono")
@@ -119,10 +119,9 @@ def _run_bundle(gen: GenSpec, seed: int, ops: list[str], cfg: Config,
         start = time.perf_counter()
         try:
             if op == "disc_exact":
-                dp = disc_plus(M, cfg)
-                dm = disc_minus(M, cfg)
-                cache["disc_plus"] = dp
-                row.disc = max(dp, dm)
+                plus, minus = best_rect_pair(M, cfg)
+                cache["disc_plus"] = plus.value
+                row.disc = max(plus.value, -minus.value)
             elif op == "disc0":
                 row.disc = disc0_plus(M, cfg).value
             elif op == "bound":

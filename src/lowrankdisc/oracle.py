@@ -14,10 +14,18 @@ column set follows from the column scores
 which makes the oracle exact rather than heuristic.  Scores add up over
 rows, so one split-table scan serves all three oracles: the low L bits of
 the row mask index a table of the scores of all 2^L low-half row sets, built
-once, and each chunk of the scan is the masks sharing one high half, scored
-by one broadcast add of that half's score row onto the table, in int64.  L
-is chosen from n so that a chunk (and the table) holds at most 2^18 scores,
-2 MiB, whatever the number of columns.
+once, and each chunk of the scan is the masks sharing one high half, whose
+scores are the table plus that half's score row, in int64.  L is chosen
+from n so that a chunk (and the table) holds at most 2^18 scores, 2 MiB,
+whatever the number of columns.
+
+Both signs of the rectangle oracle come from one pass.  The + part of X is
+P(X) = sum_j max(s_j, 0) and the - part is N(X) = sum_j max(-s_j, 0) =
+P(X) - t(X), exactly, where t(X) = sum_j s_j(X) is the row total.  t adds
+up over rows like the scores, so the scan keeps it for the low halves in a
+scalar table of 2^L entries (the high half's share cancels out of N).  One
+clip-and-sum per chunk therefore yields both, and a `disc` call costs one
+scan.
 
 Tie-breaking is deterministic everywhere: masks are scanned in increasing
 order (also when only masks of one popcount are scanned) and ties keep the
@@ -87,6 +95,8 @@ def disc_value(M: BinaryMatrix, X, Y) -> Fraction:
     for j in Ys:
         if not 0 <= j < M.n:
             raise IndexError(f"column index {j} out of range")
+    if len(set(Xs)) != len(Xs) or len(set(Ys)) != len(Ys):
+        raise ValueError("duplicate row or column indices")
     if not Xs or not Ys:
         return Fraction(0)
     sub_ones = int(M.entries[np.ix_(Xs, Ys)].sum(dtype=np.int64))
@@ -157,12 +167,20 @@ def _require_oracle_size(m: int, cfg: Config) -> None:
             f"{cfg.oracle_limit}; use the spectral/heuristic path instead")
 
 
-def _scan(M: BinaryMatrix, sign: str, popcount: int | None = None):
-    """Yield (masks, scores) chunks over the row sets of M, masks ascending.
+def _scan(M: BinaryMatrix, sign: str, values,
+          popcount: int | None = None) -> list[tuple[int, int]]:
+    """(value, mask) of the first row set with the largest value, one pair
+    per objective.
 
-    scores[j, t] is mn * s_j(X) for the row set X with bitmask masks[t],
-    negated for sign '-' so that every oracle maximises.  With a popcount,
-    only the masks of that many rows are scanned.
+    Scans the row sets X of M (only those of popcount rows, with a
+    popcount) in ascending mask order, one chunk per high half of the mask.
+    In a chunk, mn * s_j(X) = low[j, t] + high[j], negated for sign '-' so
+    that every objective is maximised: low is a read-only view of the split
+    table (the scores of the low halves), high the score row of the chunk's
+    high half, and totals[t] = sum_j low[j, t] the low half's row total,
+    from a scalar table of its own.  values(low, high, totals, out) returns
+    one array per objective with one int per row set; out is a scratch
+    array of low's shape that it may overwrite, reused by every chunk.
     """
     m, n = M.shape
     rows = _scores(M.int_entries(), M.ones, np.eye(m, dtype=np.int64))
@@ -180,30 +198,31 @@ def _scan(M: BinaryMatrix, sign: str, popcount: int | None = None):
         lo_masks = np.argsort(sizes, kind="stable")
         table = table[:, lo_masks]
         starts = np.searchsorted(sizes[lo_masks], np.arange(low + 2))
+    table.flags.writeable = False
+    totals = table.sum(axis=0)
+    # one scratch buffer: a fresh chunk-sized array per chunk costs page
+    # faults whenever the allocator hands the freed one back to the system
+    scratch = np.empty(table.size, dtype=np.int64)
     high_bits = np.arange(m - low)
     part = slice(None)
+    best = None
     for high in range(1 << (m - low)):
         if popcount is not None:
             need = popcount - high.bit_count()
             if not 0 <= need <= low:
                 continue
             part = slice(starts[need], starts[need + 1])
-        high_row = ((high >> high_bits) & 1) @ rows[low:]
-        yield (high << low) | lo_masks[part], table[:, part] + high_row[:, None]
-
-
-def _first_max(chunks, value) -> tuple[int, int]:
-    """(value, mask) of the first mask of the scan with the largest value.
-
-    value maps a scores chunk (which it may overwrite) to one int per mask.
-    """
-    best_val, best_mask = None, 0
-    for masks, scores in chunks:
-        vals = value(scores)
-        idx = int(np.argmax(vals))
-        if best_val is None or vals[idx] > best_val:
-            best_val, best_mask = int(vals[idx]), int(masks[idx])
-    return best_val, best_mask
+        chunk = table[:, part]
+        in_high = (high >> high_bits) & 1
+        firsts = []
+        for vals in values(chunk, in_high @ rows[low:], totals[part],
+                           scratch[:chunk.size].reshape(chunk.shape)):
+            idx = int(np.argmax(vals))
+            firsts.append((int(vals[idx]),
+                           (high << low) | int(lo_masks[part][idx])))
+        best = firsts if best is None else [
+            new if new[0] > old[0] else old for old, new in zip(best, firsts)]
+    return best
 
 
 def _rect_of_mask(M: BinaryMatrix, sign: str, best: tuple[int, int],
@@ -219,23 +238,40 @@ def _rect_of_mask(M: BinaryMatrix, sign: str, best: tuple[int, int],
 
 # -- exact oracles ------------------------------------------------------------------
 
+def best_rect_pair(M: BinaryMatrix,
+                   cfg: Config = DEFAULT) -> tuple[Rectangle, Rectangle]:
+    """Exact max and min of disc(X, Y) over all rectangles, from one scan.
+
+    Enumerates subsets X of the smaller side; for fixed X the optimal Y is
+    {j : s_j(X) > 0} for the maximum and {j : s_j(X) < 0} for the minimum.
+    The - part of X is its + part less its row total (module docstring),
+    so one clip-and-sum per chunk serves both.  Each sign keeps its own
+    first (smallest) row mask with the largest part.
+    """
+    if M.m > M.n:
+        return tuple(Rectangle(X=r.Y, Y=r.X, value=r.value)
+                     for r in best_rect_pair(M.transpose(), cfg))
+    _require_oracle_size(M.m, cfg)
+
+    def parts(low, high, totals, out):
+        # with s = low + high: max(s, 0) = max(low, -high) + high, and
+        # max(-s, 0) = max(s, 0) - s, whose high parts cancel
+        clipped = np.maximum(low, -high[:, None], out=out).sum(axis=0)
+        return clipped + high.sum(), clipped - totals
+
+    best = _scan(M, "+", parts)
+    return tuple(_rect_of_mask(M, sign, b) for sign, b in zip("+-", best))
+
+
 def best_rect(M: BinaryMatrix, sign: str, cfg: Config = DEFAULT) -> Rectangle:
     """Exact optimum of disc(X, Y) over all rectangles.
 
     sign '+' maximizes disc, '-' minimizes it (so the negative discrepancy
-    is -best_rect(M, '-').value).  Enumerates subsets of the smaller side;
-    for fixed X the optimal Y is {j : s_j(X) > 0} (resp. < 0).
+    is -best_rect(M, '-').value).  One half of best_rect_pair: the scan
+    that finds one sign finds the other at no extra pass.
     """
     _check_sign(sign)
-    if M.m > M.n:
-        r = best_rect(M.transpose(), sign, cfg)
-        return Rectangle(X=r.Y, Y=r.X, value=r.value)
-    _require_oracle_size(M.m, cfg)
-
-    def positive_part(scores):
-        return np.maximum(scores, 0, out=scores).sum(axis=0)
-
-    return _rect_of_mask(M, sign, _first_max(_scan(M, sign), positive_part))
+    return best_rect_pair(M, cfg)["+-".index(sign)]
 
 
 def disc_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> Fraction:
@@ -248,7 +284,8 @@ def disc_minus(M: BinaryMatrix, cfg: Config = DEFAULT) -> Fraction:
 
 
 def disc_max(M: BinaryMatrix, cfg: Config = DEFAULT) -> Fraction:
-    return max(disc_plus(M, cfg), disc_minus(M, cfg))
+    plus, minus = best_rect_pair(M, cfg)
+    return max(plus.value, -minus.value)
 
 
 def best_half_rect(M: BinaryMatrix, sign: str,
@@ -265,11 +302,13 @@ def best_half_rect(M: BinaryMatrix, sign: str,
     _require_oracle_size(M.m, cfg)
     top = M.n - col_size
 
-    def largest(scores):
+    def largest(low, high, totals, out):
+        # a fresh array: numpy partitions it faster than the scratch buffer
+        scores = low + high[:, None]
         scores.partition(top, axis=0)
-        return scores[top:].sum(axis=0)
+        return (scores[top:].sum(axis=0),)
 
-    best = _first_max(_scan(M, sign, row_size), largest)
+    (best,) = _scan(M, sign, largest, row_size)
     return _rect_of_mask(M, sign, best, col_size)
 
 
@@ -288,12 +327,12 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
     E = M.int_entries()
     full = _scores(E, M.ones, np.ones(M.m, dtype=np.int64))
 
-    def signed_total(scores):
-        scores *= 2
-        scores -= full[:, None]
-        return np.abs(scores, out=scores).sum(axis=0)
+    def signed_total(low, high, totals, out):
+        np.add(low, low, out=out)
+        out -= (full - 2 * high)[:, None]
+        return (np.abs(out, out=out).sum(axis=0),)
 
-    val, mask = _first_max(_scan(M, "+"), signed_total)
+    ((val, mask),) = _scan(M, "+", signed_total)
     x = 2 * ((mask >> np.arange(M.m)) & 1) - 1
     y = np.where(_scores(E, M.ones, x) >= 0, 1, -1)
     return SignVectorPair(x=tuple(x.tolist()), y=tuple(y.tolist()),

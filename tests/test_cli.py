@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from lowrankdisc import fixtures, matrix, random_dense
+from lowrankdisc import fixtures, matrix, oracle, random_dense
 from lowrankdisc.cli import main
 from lowrankdisc.experiment import CSV_HEADER, ExperimentConfig, render_csv, run_experiment
 
@@ -223,6 +223,20 @@ def test_experiment_eliminates_each_matrix_once(tmp_path, monkeypatch):
         exp_config(tmp_path, ops=("bound", "mono")))
     run_experiment(config, threads=1)
     assert seen and len(seen) == len(set(seen))
+
+
+def test_disc_and_disc_exact_scan_once(tmp_path, capsys, monkeypatch):
+    # both signs of disc come from one pass of the split-table scan
+    calls = []
+    scan = oracle._scan
+    monkeypatch.setattr(oracle, "_scan", lambda *args: calls.append(args)
+                        or scan(*args))
+    path = write_matrix(tmp_path, random_dense(12, 10, "1/2", seed=4))
+    assert run_cli(["disc", path], capsys)[0] == 0
+    assert len(calls) == 1
+    config = ExperimentConfig.from_file(exp_config(tmp_path))
+    run_experiment(config, threads=1)
+    assert len(calls) == 1 + len(config.gens)
 
 
 def test_experiment_invalid_config(tmp_path, capsys):

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lowrankdisc import (BinaryMatrix, CapacityError, best_half_rect,
-                         best_rect, blow_up, disc0_plus, disc_minus, disc_plus,
-                         disc_value, fixtures, heuristic_rect, oracle,
-                         random_dense)
+from lowrankdisc import (BinaryMatrix, CapacityError, Rectangle,
+                         best_half_rect, best_rect, best_rect_pair, blow_up,
+                         disc0_plus, disc_minus, disc_plus, disc_value,
+                         fixtures, heuristic_rect, oracle, random_dense)
 from conftest import random_corpus, small_fixtures
 from naive import naive_best_half_rect, naive_best_rect, naive_disc0
 
@@ -40,6 +40,17 @@ def test_disc_value_empty_sets():
 def test_disc_value_out_of_range():
     with pytest.raises(IndexError):
         disc_value(fixtures("identity(3)"), (3,), (0,))
+
+
+def test_disc_value_rejects_duplicate_indices():
+    # a repeated index would count its row or column twice
+    M = random_dense(4, 4, "1/2", seed=3)
+    assert disc_value(M, [0], [1]) == Fraction(-7, 16)
+    for X, Y in (([0, 0], [1]), ([0], [1, 1])):
+        with pytest.raises(ValueError):
+            disc_value(M, X, Y)
+    with pytest.raises(ValueError):
+        Rectangle(X=(0, 0), Y=(1,), value=Fraction(-7, 8)).verify(M)
 
 
 def test_disc_value_additive_over_disjoint_rows():
@@ -291,3 +302,25 @@ def test_oracles_break_ties_like_naive(M, chunk_bits):
             if M.m % 2 == 0 and M.n % 2 == 0:
                 assert best_half_rect(M, sign) == naive_best_half_rect(M, sign)
         assert disc0_plus(M) == naive_disc0(M)
+
+
+@st.composite
+def small_matrices(draw):
+    """small_wide_matrices or their transposes (the transpose path)."""
+    M = draw(small_wide_matrices())
+    return M.transpose() if draw(st.booleans()) else M
+
+
+@given(small_matrices(), st.sampled_from([oracle._CHUNK_BITS, 4]))
+def test_rect_pair_equals_both_naive_optima(M, chunk_bits):
+    # one scan, each sign with its own smallest-mask tie-breaking; a tall
+    # matrix is enumerated over its columns, so its reference is the naive
+    # optimum of the transpose, transposed back
+    wide = M if M.m <= M.n else M.transpose()
+    expected = tuple(naive_best_rect(wide, sign) for sign in "+-")
+    if wide is not M:
+        expected = tuple(Rectangle(X=r.Y, Y=r.X, value=r.value)
+                         for r in expected)
+    with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
+        assert best_rect_pair(M) == expected
+        assert tuple(best_rect(M, sign) for sign in "+-") == expected
