@@ -15,17 +15,32 @@ which makes the oracle exact rather than heuristic.  Scores add up over
 rows, so one split-table scan serves all three oracles: the low L bits of
 the row mask index a table of the scores of all 2^L low-half row sets, built
 once, and each chunk of the scan is the masks sharing one high half, whose
-scores are the table plus that half's score row, in int64.  L is chosen
-from n so that a chunk (and the table) holds at most 2^18 scores, 2 MiB,
-whatever the number of columns.
+scores are the table plus that half's score row.  L is chosen from n so that
+a chunk (and the table) holds at most 2^18 scores, whatever the number of
+columns.
 
-Both signs of the rectangle oracle come from one pass.  The + part of X is
-P(X) = sum_j max(s_j, 0) and the - part is N(X) = sum_j max(-s_j, 0) =
-P(X) - t(X), exactly, where t(X) = sum_j s_j(X) is the row total.  t adds
-up over rows like the scores, so the scan keeps it for the low halves in a
-scalar table of 2^L entries (the high half's share cancels out of N).  One
-clip-and-sum per chunk therefore yields both, and a `disc` call costs one
-scan.
+The scan works in the narrowest integer width that is exact.  A row score
+is mn * E_ij - |M|, so it is at most mn in absolute value, and every table
+entry, chunk entry, column sum and objective value is at most m * n * mn =
+(mn)^2.  Scores, table, scratch buffer and every reduce are therefore int32
+when (mn)^2 < 2^31, that is mn <= 46340, and int64 otherwise; a chunk is
+then at most 1 MiB.  Per-mask combinations that can exceed (mn)^2 are
+formed in int64 after the reduce, over 2^L entries only.
+
+Both signs of the rectangle oracle come from one pass.  With A(X) =
+sum_j |s_j(X)| and the row total t(X) = sum_j s_j(X), max(s, 0) = (s +
+|s|) / 2 gives the + part P(X) = sum_j max(s_j, 0) and the - part N(X) =
+sum_j max(-s_j, 0) as 2P = A + t and 2N = A - t, exactly (A and t have the
+same parity).  t adds up over rows like the scores, so the scan keeps it
+for the low halves in a scalar table of 2^L entries, plus the high half's
+sum per chunk.  One add, abs and column sum per chunk therefore yields
+both, and a `disc` call costs one scan.
+
+The relaxation oracle disc0_plus scans half the sign vectors: (x, y) and
+(-x, -y) have the same value, so the complement of an optimal row set is
+optimal too, and of the two exactly one has bit m-1 clear.  The smallest
+optimal row set has it clear, so only the row sets of the first m-1 rows
+are scanned.
 
 Tie-breaking is deterministic everywhere: masks are scanned in increasing
 order (also when only masks of one popcount are scanned) and ties keep the
@@ -44,6 +59,7 @@ from .errors import CapacityError
 from .matrix import BinaryMatrix
 
 _CHUNK_BITS = 18
+_INT32_MAX_MN = 46340  # the largest mn with (mn)^2 < 2^31
 _RESTARTS = 8
 
 
@@ -167,27 +183,29 @@ def _require_oracle_size(m: int, cfg: Config) -> None:
             f"{cfg.oracle_limit}; use the spectral/heuristic path instead")
 
 
-def _scan(M: BinaryMatrix, sign: str, values,
+def _scan(M: BinaryMatrix, rows: np.ndarray, values,
           popcount: int | None = None) -> list[tuple[int, int]]:
     """(value, mask) of the first row set with the largest value, one pair
     per objective.
 
-    Scans the row sets X of M (only those of popcount rows, with a
-    popcount) in ascending mask order, one chunk per high half of the mask.
-    In a chunk, mn * s_j(X) = low[j, t] + high[j], negated for sign '-' so
-    that every objective is maximised: low is a read-only view of the split
-    table (the scores of the low halves), high the score row of the chunk's
-    high half, and totals[t] = sum_j low[j, t] the low half's row total,
-    from a scalar table of its own.  values(low, high, totals, out) returns
-    one array per objective with one int per row set; out is a scratch
-    array of low's shape that it may overwrite, reused by every chunk.
+    Scans the row sets X of the k score rows given (rows i of M, scaled and
+    signed by the caller; only those of popcount rows, with a popcount) in
+    ascending mask order, one chunk per high half of the mask.  In a chunk,
+    the score of X at column j is low[j, t] + high[j]: low is a read-only
+    view of the split table (the scores of the low halves), high the score
+    row of the chunk's high half, and totals[t] = sum_j low[j, t] the low
+    half's row total, from a scalar table of its own.  All three are in the
+    scan's width, int32 when mn <= 46340 (module docstring), so every entry
+    of rows must stay within 2mn and every table sum within (mn)^2.
+    values(low, high, totals, out) returns one array per objective with one
+    int per row set; out is a scratch array of low's shape and width that it
+    may overwrite, reused by every chunk.
     """
-    m, n = M.shape
-    rows = _scores(M.int_entries(), M.ones, np.eye(m, dtype=np.int64))
-    if sign == "-":
-        rows = -rows
-    low = min(m, max(0, _CHUNK_BITS - (n - 1).bit_length()))
-    table = np.zeros((n, 1 << low), dtype=np.int64)
+    k, n = rows.shape
+    width = np.int32 if M.m * M.n <= _INT32_MAX_MN else np.int64
+    rows = rows.astype(width)
+    low = min(k, max(0, _CHUNK_BITS - (n - 1).bit_length()))
+    table = np.zeros((n, 1 << low), dtype=width)
     sizes = np.zeros(1 << low, dtype=np.int64)
     for i in range(low):
         table[:, 1 << i:2 << i] = table[:, :1 << i] + rows[i][:, None]
@@ -199,14 +217,14 @@ def _scan(M: BinaryMatrix, sign: str, values,
         table = table[:, lo_masks]
         starts = np.searchsorted(sizes[lo_masks], np.arange(low + 2))
     table.flags.writeable = False
-    totals = table.sum(axis=0)
+    totals = table.sum(axis=0, dtype=width)
     # one scratch buffer: a fresh chunk-sized array per chunk costs page
     # faults whenever the allocator hands the freed one back to the system
-    scratch = np.empty(table.size, dtype=np.int64)
-    high_bits = np.arange(m - low)
+    scratch = np.empty(table.size, dtype=width)
+    high_bits = np.arange(k - low, dtype=width)
     part = slice(None)
     best = None
-    for high in range(1 << (m - low)):
+    for high in range(1 << (k - low)):
         if popcount is not None:
             need = popcount - high.bit_count()
             if not 0 <= need <= low:
@@ -223,6 +241,17 @@ def _scan(M: BinaryMatrix, sign: str, values,
         best = firsts if best is None else [
             new if new[0] > old[0] else old for old, new in zip(best, firsts)]
     return best
+
+
+def _row_scores(M: BinaryMatrix) -> np.ndarray:
+    """mn * s_j({i}) for every row i of M, one score row each."""
+    return _scores(M.int_entries(), M.ones, np.eye(M.m, dtype=np.int64))
+
+
+def _abs_sum(low, high, out) -> np.ndarray:
+    """sum_j |low[j, t] + high[j]| for every t, in out's width."""
+    np.add(low, high[:, None], out=out)
+    return np.abs(out, out=out).sum(axis=0, dtype=out.dtype)
 
 
 def _rect_of_mask(M: BinaryMatrix, sign: str, best: tuple[int, int],
@@ -244,23 +273,24 @@ def best_rect_pair(M: BinaryMatrix,
 
     Enumerates subsets X of the smaller side; for fixed X the optimal Y is
     {j : s_j(X) > 0} for the maximum and {j : s_j(X) < 0} for the minimum.
-    The - part of X is its + part less its row total (module docstring),
-    so one clip-and-sum per chunk serves both.  Each sign keeps its own
-    first (smallest) row mask with the largest part.
+    Both parts come doubled from one add, abs and column sum per chunk,
+    2P = A + t and 2N = A - t (module docstring).  Each sign keeps its own
+    first (smallest) row mask with the largest part, then halves it.
     """
     if M.m > M.n:
         return tuple(Rectangle(X=r.Y, Y=r.X, value=r.value)
                      for r in best_rect_pair(M.transpose(), cfg))
     _require_oracle_size(M.m, cfg)
 
-    def parts(low, high, totals, out):
-        # with s = low + high: max(s, 0) = max(low, -high) + high, and
-        # max(-s, 0) = max(s, 0) - s, whose high parts cancel
-        clipped = np.maximum(low, -high[:, None], out=out).sum(axis=0)
-        return clipped + high.sum(), clipped - totals
+    def doubled_parts(low, high, totals, out):
+        # 2P = A + t and 2N = A - t, combined in int64: |A|, |t| <= (mn)^2
+        A = _abs_sum(low, high, out).astype(np.int64)
+        t = (totals + high.sum(dtype=high.dtype)).astype(np.int64)
+        return A + t, A - t
 
-    best = _scan(M, "+", parts)
-    return tuple(_rect_of_mask(M, sign, b) for sign, b in zip("+-", best))
+    best = _scan(M, _row_scores(M), doubled_parts)
+    return tuple(_rect_of_mask(M, sign, (val // 2, mask))
+                 for sign, (val, mask) in zip("+-", best))
 
 
 def best_rect(M: BinaryMatrix, sign: str, cfg: Config = DEFAULT) -> Rectangle:
@@ -306,9 +336,10 @@ def best_half_rect(M: BinaryMatrix, sign: str,
         # a fresh array: numpy partitions it faster than the scratch buffer
         scores = low + high[:, None]
         scores.partition(top, axis=0)
-        return (scores[top:].sum(axis=0),)
+        return (scores[top:].sum(axis=0, dtype=scores.dtype),)
 
-    (best,) = _scan(M, sign, largest, row_size)
+    rows = _row_scores(M)
+    (best,) = _scan(M, rows if sign == "+" else -rows, largest, row_size)
     return _rect_of_mask(M, sign, best, col_size)
 
 
@@ -318,23 +349,25 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
     The objective is linear in every coordinate, so the optimum sits at a
     +-1 vertex; for fixed x the optimal y_j is the sign of the column score
     (zero scores get +1).  With x = +1 on X and -1 elsewhere, the column
-    scores are 2 s(X) - s([m]).
+    scores are 2 s(X) - s([m]), so the value of X is sum_j |2 s_j(X) -
+    s_j([m])|, at most (mn)^2: the scan's width rule covers it, and the
+    scan enumerates the doubled score rows.  x and -x have the same value
+    and the smallest optimal X leaves row m-1 out (module docstring), so
+    for m >= 2 only the 2^(m-1) row sets of the first m-1 rows are scanned.
     """
     if M.m > M.n:
         pair = disc0_plus(M.transpose(), cfg)
         return SignVectorPair(x=pair.y, y=pair.x, value=pair.value)
     _require_oracle_size(M.m, cfg)
-    E = M.int_entries()
-    full = _scores(E, M.ones, np.ones(M.m, dtype=np.int64))
+    rows = _row_scores(M)
+    full = rows.sum(axis=0)
 
     def signed_total(low, high, totals, out):
-        np.add(low, low, out=out)
-        out -= (full - 2 * high)[:, None]
-        return (np.abs(out, out=out).sum(axis=0),)
+        return (_abs_sum(low, (high - full).astype(out.dtype), out),)
 
-    ((val, mask),) = _scan(M, "+", signed_total)
+    ((val, mask),) = _scan(M, 2 * rows[:max(1, M.m - 1)], signed_total)
     x = 2 * ((mask >> np.arange(M.m)) & 1) - 1
-    y = np.where(_scores(E, M.ones, x) >= 0, 1, -1)
+    y = np.where(_scores(M.int_entries(), M.ones, x) >= 0, 1, -1)
     return SignVectorPair(x=tuple(x.tolist()), y=tuple(y.tolist()),
                           value=Fraction(val, M.m * M.n))
 

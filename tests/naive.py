@@ -79,6 +79,63 @@ def naive_disc0(M: BinaryMatrix) -> SignVectorPair:
                           value=Fraction(int(vals[xi, yi]), mn))
 
 
+def _row_set_scores(M: BinaryMatrix):
+    """(mask, mn * s_j(X) as Python ints) for every row set X, ascending.
+
+    Only the row sets are enumerated, so this reference also runs on very
+    wide matrices, where the values outgrow 32-bit integers.
+    """
+    E = M.int_entries()
+    mn = M.m * M.n
+    for mask in range(1 << M.m):
+        X = [i for i in range(M.m) if (mask >> i) & 1]
+        counts = E[X].sum(axis=0).tolist()
+        yield mask, [mn * c - M.ones * len(X) for c in counts]
+
+
+def _bits(mask: int, size: int) -> tuple[int, ...]:
+    return tuple(i for i in range(size) if (mask >> i) & 1)
+
+
+def rowwise_best_rect_pair(M: BinaryMatrix) -> tuple[Rectangle, Rectangle]:
+    """Max and min of disc(X, Y): every X with its best-response columns.
+
+    Ties keep the smallest X mask; Y holds the columns of positive
+    (resp. negative) score.
+    """
+    mn = M.m * M.n
+    best = {"+": None, "-": None}
+    for mask, s in _row_set_scores(M):
+        for sign, gain in (("+", 1), ("-", -1)):
+            Y = tuple(j for j, v in enumerate(s) if gain * v > 0)
+            value = sum(s[j] for j in Y)
+            if best[sign] is None or gain * value > gain * best[sign][0]:
+                best[sign] = (value, mask, Y)
+    return tuple(Rectangle(X=_bits(mask, M.m), Y=Y, value=Fraction(value, mn))
+                 for value, mask, Y in (best["+"], best["-"]))
+
+
+def rowwise_disc0(M: BinaryMatrix) -> SignVectorPair:
+    """max x^T (M - pJ) y over sign vectors: every x with its best y.
+
+    x is +1 on the bits of the mask and y_j the sign of the column score,
+    +1 when it is zero; ties keep the smallest mask.
+    """
+    scores = dict(_row_set_scores(M))
+    full = scores[(1 << M.m) - 1]
+    best = None
+    for mask, s in scores.items():
+        c = [2 * a - b for a, b in zip(s, full)]
+        value = sum(abs(v) for v in c)
+        if best is None or value > best[0]:
+            best = (value, mask, c)
+    value, mask, c = best
+    return SignVectorPair(
+        x=tuple(1 if (mask >> i) & 1 else -1 for i in range(M.m)),
+        y=tuple(1 if v >= 0 else -1 for v in c),
+        value=Fraction(value, M.m * M.n))
+
+
 def fraction_rank(M: BinaryMatrix) -> int:
     """Rank over the rationals by plain Gaussian elimination on Fractions."""
     rows = [[Fraction(int(v)) for v in row] for row in M.entries]

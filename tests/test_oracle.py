@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lowrankdisc import (BinaryMatrix, CapacityError, Rectangle,
-                         best_half_rect, best_rect, best_rect_pair, blow_up,
-                         disc0_plus, disc_minus, disc_plus, disc_value,
-                         fixtures, heuristic_rect, oracle, random_dense)
+                         SignVectorPair, best_half_rect, best_rect,
+                         best_rect_pair, blow_up, disc0_plus, disc_minus,
+                         disc_plus, disc_value, fixtures, heuristic_rect,
+                         oracle, random_dense)
 from conftest import random_corpus, small_fixtures
-from naive import naive_best_half_rect, naive_best_rect, naive_disc0
+from naive import (naive_best_half_rect, naive_best_rect, naive_disc0,
+                   rowwise_best_rect_pair, rowwise_disc0)
 
 
 # -- disc_value -----------------------------------------------------------------
@@ -263,6 +265,57 @@ def test_disc0_full_blowup_scaling():
                 == Fraction(disc0_plus(M).value, mn))
 
 
+def scanned_masks(call) -> int:
+    """How many row masks the objectives of call()'s scans see."""
+    seen = []
+    scan = oracle._scan
+
+    def counting(M, rows, values, *rest):
+        def counted(low, *args):
+            seen.append(low.shape[1])
+            return values(low, *args)
+        return scan(M, rows, counted, *rest)
+
+    with patch.object(oracle, "_scan", counting):
+        call()
+    return sum(seen)
+
+
+@pytest.mark.parametrize("chunk_bits", [oracle._CHUNK_BITS, 2])
+def test_disc0_scans_half_the_sign_vectors(chunk_bits):
+    # x and -x tie, so only the row sets without the last row are scanned
+    # (both sets when m = 1), and the result is still the naive optimum
+    cases = [random_dense(1, 5, "1/2", seed=37), fixtures("all_zeros(3,4)"),
+             blow_up(fixtures("identity(2)"), 2, 3),
+             blow_up(fixtures("identity(3)"), 1, 2),
+             random_dense(5, 7, "1/2", seed=38),
+             random_dense(8, 3, "1/2", seed=39)]
+    for M in cases:
+        wide = M if M.m <= M.n else M.transpose()
+        expected = naive_disc0(wide)
+        if wide is not M:
+            expected = SignVectorPair(x=expected.y, y=expected.x,
+                                      value=expected.value)
+        got = []
+        with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
+            masks = scanned_masks(lambda: got.append(disc0_plus(M)))
+        assert got == [expected]
+        assert masks == 1 << max(1, wide.m - 1)
+
+
+@pytest.mark.parametrize("n", [23170, 23172, 46342])
+def test_oracles_exact_at_the_int32_boundary(n):
+    # both rows are ones on the first half of the columns, so A(X) reaches
+    # (mn)^2 / 2: mn = 46340 is the widest int32 scan, and at 2 x 46342
+    # that is 4.3e9, past int32
+    E = np.zeros((2, n), dtype=np.uint8)
+    E[:, :n // 2] = 1
+    M = BinaryMatrix(E)
+    assert (M.m * M.n <= oracle._INT32_MAX_MN) == (n == 23170)
+    assert best_rect_pair(M) == rowwise_best_rect_pair(M)
+    assert disc0_plus(M) == rowwise_disc0(M)
+
+
 def test_oracle_memory_bounded_on_wide_matrix():
     # the enumeration works in chunks of bounded size whatever the width
     M = random_dense(10, 8000, "1/2", seed=36)
@@ -292,16 +345,25 @@ def small_wide_matrices(draw):
     return BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(m, n))
 
 
+def widths():
+    """Patches for both scan widths: the real rule (int32 on these
+    inputs), and a rule that sends every input through int64."""
+    return [patch.object(oracle, "_INT32_MAX_MN", limit)
+            for limit in (oracle._INT32_MAX_MN, 0)]
+
+
 @given(small_wide_matrices(), st.sampled_from([oracle._CHUNK_BITS, 4]))
 def test_oracles_break_ties_like_naive(M, chunk_bits):
     # smallest row mask first, then the naive oracles' column choice; with
     # 4 chunk bits a chunk holds 2 to 16 masks, so ties also span chunks
-    with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
-        for sign in "+-":
-            assert best_rect(M, sign) == naive_best_rect(M, sign)
-            if M.m % 2 == 0 and M.n % 2 == 0:
-                assert best_half_rect(M, sign) == naive_best_half_rect(M, sign)
-        assert disc0_plus(M) == naive_disc0(M)
+    for width in widths():
+        with patch.object(oracle, "_CHUNK_BITS", chunk_bits), width:
+            for sign in "+-":
+                assert best_rect(M, sign) == naive_best_rect(M, sign)
+                if M.m % 2 == 0 and M.n % 2 == 0:
+                    assert (best_half_rect(M, sign)
+                            == naive_best_half_rect(M, sign))
+            assert disc0_plus(M) == naive_disc0(M)
 
 
 @st.composite
@@ -321,6 +383,7 @@ def test_rect_pair_equals_both_naive_optima(M, chunk_bits):
     if wide is not M:
         expected = tuple(Rectangle(X=r.Y, Y=r.X, value=r.value)
                          for r in expected)
-    with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
-        assert best_rect_pair(M) == expected
-        assert tuple(best_rect(M, sign) for sign in "+-") == expected
+    for width in widths():
+        with patch.object(oracle, "_CHUNK_BITS", chunk_bits), width:
+            assert best_rect_pair(M) == expected
+            assert tuple(best_rect(M, sign) for sign in "+-") == expected
