@@ -8,6 +8,7 @@ corresponding library call.  Exit codes: 0 ok, 2 parse error, 3 capacity,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -131,7 +132,10 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    returns a fresh namespace each call and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="lowrankdisc",
         description="Discrepancy oracles, spectral certificates, and "

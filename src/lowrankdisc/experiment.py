@@ -10,6 +10,7 @@ the config to zero that column when byte-identical reports are required.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +52,26 @@ class ExperimentConfig:
         for op in self.ops:
             if op not in OPS:
                 raise ValueError(f"unknown op {op!r}; choose from {OPS}")
+        # JSON values arrive unconverted: "20" or true must not reach the
+        # oracles, "false" must not count as true, and seed 1.9 must not
+        # run as seed 1
+        if (not isinstance(self.seeds, list)
+                or any(type(seed) is not int for seed in self.seeds)):
+            raise ValueError(
+                f"seeds must be a list of integers, got {self.seeds!r}")
+        for name in ("oracle_limit", "trials"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 1):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}")
+        tol = self.eig_tol_factor
+        if tol is not None and (type(tol) not in (int, float)
+                                or not 0 < tol < math.inf):
+            raise ValueError(
+                f"eig_tol_factor must be a positive finite number, got {tol!r}")
+        if type(self.timing) is not bool:
+            raise ValueError(
+                f"timing must be true or false, got {self.timing!r}")
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
@@ -61,12 +82,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown config fields {sorted(extra)}")
         gens = [GenSpec.from_json_obj(g) for g in obj.get("gens", [])]
         return cls(gens=gens, ops=list(obj.get("ops", [])),
-                   seeds=[int(s) for s in obj.get("seeds", [])],
+                   seeds=obj.get("seeds", []),
                    output=obj.get("output"),
                    oracle_limit=obj.get("oracle_limit"),
                    trials=obj.get("trials"),
                    eig_tol_factor=obj.get("eig_tol_factor"),
-                   timing=bool(obj.get("timing", True)))
+                   timing=obj.get("timing", True))
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

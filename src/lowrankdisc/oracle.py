@@ -13,28 +13,32 @@ column set follows from the column scores
 
 which makes the oracle exact rather than heuristic.  Scores add up over
 rows, so one split-table scan serves all three oracles: the low L bits of
-the row mask index a table of the scores of all 2^L low-half row sets, built
-once, and each chunk of the scan is the masks sharing one high half, whose
-scores are the table plus that half's score row.  L is chosen from n so that
-a chunk (and the table) holds at most 2^18 scores, whatever the number of
-columns.
+the row mask index a table of the scores of all 2^L low-half row sets, and
+the high bits a table of the score rows of the high halves, both built once
+by doubling (one add per row).  Each chunk of the scan is the masks sharing
+one high half, whose scores are the low table plus that half's row.  L is
+chosen from n so that a chunk (and each table) holds at most 2^18 scores,
+whatever the number of columns; when the high halves would not fit, they
+are tabulated in blocks that share their top bits.
 
 The scan works in the narrowest integer width that is exact.  A row score
 is mn * E_ij - |M|, so it is at most mn in absolute value, and every table
 entry, chunk entry, column sum and objective value is at most m * n * mn =
-(mn)^2.  Scores, table, scratch buffer and every reduce are therefore int32
-when (mn)^2 < 2^31, that is mn <= 46340, and int64 otherwise; a chunk is
-then at most 1 MiB.  Per-mask combinations that can exceed (mn)^2 are
-formed in int64 after the reduce, over 2^L entries only.
+(mn)^2.  Scores, tables, scratch buffers and every reduce are therefore
+int32 when (mn)^2 < 2^31, that is mn <= 46340, and int64 otherwise; a
+chunk is then at most 1 MiB.
 
 Both signs of the rectangle oracle come from one pass.  With A(X) =
 sum_j |s_j(X)| and the row total t(X) = sum_j s_j(X), max(s, 0) = (s +
 |s|) / 2 gives the + part P(X) = sum_j max(s_j, 0) and the - part N(X) =
 sum_j max(-s_j, 0) as 2P = A + t and 2N = A - t, exactly (A and t have the
 same parity).  t adds up over rows like the scores, so the scan keeps it
-for the low halves in a scalar table of 2^L entries, plus the high half's
-sum per chunk.  One add, abs and column sum per chunk therefore yields
-both, and a `disc` call costs one scan.
+in a scalar table for each half.  One add, abs and column sum per chunk
+therefore yields both, and a `disc` call costs one scan.  Both parts fit
+the scan's width: with c_j and z_j the ones and zeros of column j inside
+the rows X, mn * s_j = (mn - |M|) c_j - |M| z_j, so P <= (mn - |M|) |M|
+and likewise N <= |M| (mn - |M|), and 2P, 2N <= (mn)^2 / 2.  They are
+written in place into one pair of chunk-sized buffers.
 
 The relaxation oracle disc0_plus scans half the sign vectors: (x, y) and
 (-x, -y) have the same value, so the complement of an optimal row set is
@@ -183,8 +187,21 @@ def _require_oracle_size(m: int, cfg: Config) -> None:
             f"{cfg.oracle_limit}; use the spectral/heuristic path instead")
 
 
+def _subset_table(rows: np.ndarray, base) -> np.ndarray:
+    """Column t: base plus the sum of the rows i with bit i of t set.
+
+    Built by doubling, one add per row, in the dtype of rows.
+    """
+    k, n = rows.shape
+    table = np.empty((n, 1 << k), dtype=rows.dtype)
+    table[:, 0] = base
+    for i in range(k):
+        np.add(table[:, :1 << i], rows[i][:, None], out=table[:, 1 << i:2 << i])
+    return table
+
+
 def _scan(M: BinaryMatrix, rows: np.ndarray, values,
-          popcount: int | None = None) -> list[tuple[int, int]]:
+          popcount: int | None = None, base=0) -> list[tuple[int, int]]:
     """(value, mask) of the first row set with the largest value, one pair
     per objective.
 
@@ -193,26 +210,30 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, values,
     ascending mask order, one chunk per high half of the mask.  In a chunk,
     the score of X at column j is low[j, t] + high[j]: low is a read-only
     view of the split table (the scores of the low halves), high the score
-    row of the chunk's high half, and totals[t] = sum_j low[j, t] the low
-    half's row total, from a scalar table of its own.  All three are in the
-    scan's width, int32 when mn <= 46340 (module docstring), so every entry
-    of rows must stay within 2mn and every table sum within (mn)^2.
-    values(low, high, totals, out) returns one array per objective with one
-    int per row set; out is a scratch array of low's shape and width that it
-    may overwrite, reused by every chunk.
+    row of the chunk's high half plus base (a score row, or 0), read from a
+    table of the high halves built by the same doubling, high_total =
+    sum_j high[j] and totals[t] = sum_j low[j, t] from scalar tables of
+    their own.  All of them are in the scan's width, int32 when mn <= 46340
+    (module docstring), so every table entry and column sum must stay
+    within (mn)^2.  values(low, high, high_total, totals, out) returns one
+    array per objective with one int per row set; out is a scratch array of
+    low's shape and width that it may overwrite, reused by every chunk.
+
+    The high-half table is kept as small as a chunk: when it would hold
+    more than 2^_CHUNK_BITS scores, the high halves are taken in blocks
+    that share their top bits, and each block gets a table of its own.
     """
     k, n = rows.shape
     width = np.int32 if M.m * M.n <= _INT32_MAX_MN else np.int64
     rows = rows.astype(width)
-    low = min(k, max(0, _CHUNK_BITS - (n - 1).bit_length()))
-    table = np.zeros((n, 1 << low), dtype=width)
-    sizes = np.zeros(1 << low, dtype=np.int64)
-    for i in range(low):
-        table[:, 1 << i:2 << i] = table[:, :1 << i] + rows[i][:, None]
-        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
+    bits = max(0, _CHUNK_BITS - (n - 1).bit_length())
+    low = min(k, bits)
+    mid = min(k - low, bits)
+    table = _subset_table(rows[:low], 0)
     lo_masks = np.arange(1 << low, dtype=np.int64)
     if popcount is not None:
         # group the low halves by popcount, ascending within each group
+        sizes = _subset_table(np.ones((low, 1), dtype=np.int64), 0)[0]
         lo_masks = np.argsort(sizes, kind="stable")
         table = table[:, lo_masks]
         starts = np.searchsorted(sizes[lo_masks], np.arange(low + 2))
@@ -221,25 +242,32 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, values,
     # one scratch buffer: a fresh chunk-sized array per chunk costs page
     # faults whenever the allocator hands the freed one back to the system
     scratch = np.empty(table.size, dtype=width)
-    high_bits = np.arange(k - low, dtype=width)
+    top_bits = np.arange(k - low - mid, dtype=width)
     part = slice(None)
     best = None
-    for high in range(1 << (k - low)):
-        if popcount is not None:
-            need = popcount - high.bit_count()
-            if not 0 <= need <= low:
-                continue
-            part = slice(starts[need], starts[need + 1])
-        chunk = table[:, part]
-        in_high = (high >> high_bits) & 1
-        firsts = []
-        for vals in values(chunk, in_high @ rows[low:], totals[part],
-                           scratch[:chunk.size].reshape(chunk.shape)):
-            idx = int(np.argmax(vals))
-            firsts.append((int(vals[idx]),
-                           (high << low) | int(lo_masks[part][idx])))
-        best = firsts if best is None else [
-            new if new[0] > old[0] else old for old, new in zip(best, firsts)]
+    for top in range(1 << (k - low - mid)):
+        in_top = (top >> top_bits) & 1
+        highs = _subset_table(rows[low:low + mid],
+                              base + in_top @ rows[low + mid:])
+        high_totals = highs.sum(axis=0, dtype=width)
+        for h in range(1 << mid):
+            high = (top << mid) | h
+            if popcount is not None:
+                need = popcount - high.bit_count()
+                if not 0 <= need <= low:
+                    continue
+                part = slice(starts[need], starts[need + 1])
+            chunk = table[:, part]
+            firsts = []
+            for vals in values(chunk, highs[:, h], high_totals[h],
+                               totals[part],
+                               scratch[:chunk.size].reshape(chunk.shape)):
+                idx = int(vals.argmax())
+                firsts.append((int(vals[idx]),
+                               (high << low) | int(lo_masks[part][idx])))
+            best = firsts if best is None else [
+                new if new[0] > old[0] else old
+                for old, new in zip(best, firsts)]
     return best
 
 
@@ -282,11 +310,20 @@ def best_rect_pair(M: BinaryMatrix,
                      for r in best_rect_pair(M.transpose(), cfg))
     _require_oracle_size(M.m, cfg)
 
-    def doubled_parts(low, high, totals, out):
-        # 2P = A + t and 2N = A - t, combined in int64: |A|, |t| <= (mn)^2
-        A = _abs_sum(low, high, out).astype(np.int64)
-        t = (totals + high.sum(dtype=high.dtype)).astype(np.int64)
-        return A + t, A - t
+    parts = []
+
+    def doubled_parts(low, high, high_total, totals, out):
+        # 2P = A + t and 2N = A - t in the scan's width, into one buffer
+        # pair made for the first chunk (every chunk has the same length):
+        # both are at most (mn)^2 / 2 (module docstring)
+        if not parts:
+            parts.extend(np.empty((2, low.shape[1]), dtype=out.dtype))
+        two_p, two_n = parts
+        A = _abs_sum(low, high, out)
+        np.add(totals, high_total, out=two_n)
+        np.add(A, two_n, out=two_p)
+        np.subtract(A, two_n, out=two_n)
+        return two_p, two_n
 
     best = _scan(M, _row_scores(M), doubled_parts)
     return tuple(_rect_of_mask(M, sign, (val // 2, mask))
@@ -332,7 +369,7 @@ def best_half_rect(M: BinaryMatrix, sign: str,
     _require_oracle_size(M.m, cfg)
     top = M.n - col_size
 
-    def largest(low, high, totals, out):
+    def largest(low, high, high_total, totals, out):
         # a fresh array: numpy partitions it faster than the scratch buffer
         scores = low + high[:, None]
         scores.partition(top, axis=0)
@@ -360,12 +397,13 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
         return SignVectorPair(x=pair.y, y=pair.x, value=pair.value)
     _require_oracle_size(M.m, cfg)
     rows = _row_scores(M)
-    full = rows.sum(axis=0)
 
-    def signed_total(low, high, totals, out):
-        return (_abs_sum(low, (high - full).astype(out.dtype), out),)
+    def signed_total(low, high, high_total, totals, out):
+        return (_abs_sum(low, high, out),)
 
-    ((val, mask),) = _scan(M, 2 * rows[:max(1, M.m - 1)], signed_total)
+    # the high halves start from -s([m]), so high is 2 s(high half) - s([m])
+    ((val, mask),) = _scan(M, 2 * rows[:max(1, M.m - 1)], signed_total,
+                           None, -rows.sum(axis=0))
     x = 2 * ((mask >> np.arange(M.m)) & 1) - 1
     y = np.where(_scores(M.int_entries(), M.ones, x) >= 0, 1, -1)
     return SignVectorPair(x=tuple(x.tolist()), y=tuple(y.tolist()),

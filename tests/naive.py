@@ -41,19 +41,27 @@ def naive_best_rect(M: BinaryMatrix, sign: str) -> Rectangle:
     return Rectangle(X=X, Y=Y, value=Fraction(int(scaled.flat[flat]), mn))
 
 
-def naive_best_half_rect(M: BinaryMatrix, sign: str) -> Rectangle:
-    """Optimal rectangle over |X| = m/2, |Y| = n/2 by full enumeration.
+def naive_best_half_rect(M: BinaryMatrix, sign: str,
+                         row_size: int | None = None,
+                         col_size: int | None = None) -> Rectangle:
+    """Optimal rectangle over |X| = row_size, |Y| = col_size (by default
+    m/2 and n/2, which must then be whole) by full enumeration.
 
     Ties keep the smallest X mask, then the smallest Y mask.
     """
-    assert M.m % 2 == 0 and M.n % 2 == 0
+    if row_size is None:
+        assert M.m % 2 == 0
+        row_size = M.m // 2
+    if col_size is None:
+        assert M.n % 2 == 0
+        col_size = M.n // 2
     E = M.int_entries()
     mn = M.m * M.n
     IX = _indicator_table(M.m)
     IY = _indicator_table(M.n)
-    IX = IX[IX.sum(axis=1) == M.m // 2]
-    IY = IY[IY.sum(axis=1) == M.n // 2]
-    scaled = mn * (IX @ E @ IY.T) - M.ones * (M.m // 2) * (M.n // 2)
+    IX = IX[IX.sum(axis=1) == row_size]
+    IY = IY[IY.sum(axis=1) == col_size]
+    scaled = mn * (IX @ E @ IY.T) - M.ones * row_size * col_size
     flat = int(np.argmax(scaled) if sign == "+" else np.argmin(scaled))
     xi, yi = divmod(flat, len(IY))
     return Rectangle(X=tuple(int(i) for i in np.flatnonzero(IX[xi])),

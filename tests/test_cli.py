@@ -246,6 +246,37 @@ def test_experiment_invalid_config(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("oracle_limit", "20"), ("oracle_limit", True), ("oracle_limit", 0),
+    ("oracle_limit", 2.0), ("trials", "5"), ("trials", False),
+    ("trials", -1), ("eig_tol_factor", "1e-10"), ("eig_tol_factor", True),
+    ("eig_tol_factor", 0), ("eig_tol_factor", -1e-10),
+    ("eig_tol_factor", float("nan")), ("eig_tol_factor", float("inf")),
+    ("timing", "false"), ("timing", 0), ("timing", None), ("seeds", [1.9]),
+    ("seeds", [True]), ("seeds", ["1"]), ("seeds", 3)])
+def test_experiment_rejects_mistyped_fields(tmp_path, capsys, field, value):
+    # a typed error and exit 1, not a traceback or a silently truthy string
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"gens": [{"kind": "identity", "n": 4}],
+                                "ops": ["disc_exact"], "seeds": [1],
+                                field: value}))
+    code, out, err = run_cli(["experiment", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and field in err
+
+
+def test_experiment_accepts_typed_fields(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"gens": [{"kind": "identity", "n": 4}],
+                                "ops": ["disc_exact", "bound"], "seeds": [1],
+                                "oracle_limit": 20, "trials": 5,
+                                "eig_tol_factor": 1, "timing": False}))
+    code, out, _ = run_cli(["experiment", str(path)], capsys)
+    assert code == 0
+    assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [
+        ["0", "ok"], ["0", "ok"]]
+
+
 def test_experiment_capacity_rows_marked(tmp_path, capsys):
     cfg = {
         "gens": [{"kind": "random_dense", "m": 30, "n": 30, "p": "1/2"}],
@@ -352,6 +383,35 @@ def test_console_script_entrypoint(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["disc_plus"] == "1/1"
+
+
+def run_fresh(args):
+    """(exit code, stdout, stderr) of args in a new interpreter."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-m", "lowrankdisc.cli", *args],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+WIDE = ["--gen-kind", "random_dense", "--gen-p", "1/2", "--gen-m", "30",
+        "--gen-n", "30", "--gen-seed", "1"]
+BLOWUP = ["--gen-kind", "blowup_random", "--gen-r", "4", "--gen-p", "1/2",
+          "--gen-m", "16", "--gen-n", "16", "--gen-seed", "2"]
+
+
+@pytest.mark.parametrize("first, second", [
+    (["disc", *WIDE, "--heuristic", "--seed", "3"], ["disc", *WIDE]),
+    (["mono", *BLOWUP, "--trials", "5", "--oracle-limit", "4"],
+     ["mono", *BLOWUP])])
+def test_cached_parser_leaks_no_state(capsys, first, second):
+    # main reuses one parser per process; the options of one call must not
+    # reach the next (here --heuristic would turn exit 3 into 0, and
+    # --oracle-limit 4 the exact strategy into rounding)
+    fresh = [run_fresh(args) for args in (first, second)]
+    assert fresh[0] != fresh[1]
+    assert [run_cli(args, capsys) for args in (first, second)] == fresh
 
 
 def test_stdin_input():

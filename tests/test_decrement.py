@@ -6,18 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from lowrankdisc import (BinaryMatrix, DecrementStalled, MonoResult,
                          PermutationWitness, adjust_to_half, best_half_rect,
-                         best_rect, blow_up, decrement_step, disc_minus,
-                         find_mono, fixtures, gram_vectors, lower_bound_disc,
-                         planted_sparse, random_binary, random_dense, rank,
-                         round_to_rect, submatrix, witness,
-                         zero_submatrix_sparse)
+                         best_rect, blow_up, complement, decrement_step,
+                         disc_minus, find_mono, fixtures, gram_vectors,
+                         lower_bound_disc, planted_sparse, random_binary,
+                         random_dense, rank, round_to_rect, submatrix,
+                         witness, zero_submatrix_sparse)
 from lowrankdisc.config import DEFAULT
 from lowrankdisc.oracle import Rectangle
 from lowrankdisc.spectral import eigendecompose
 
 from conftest import random_corpus
+from naive import naive_best_half_rect
 
 
 # -- gram_vectors -----------------------------------------------------------------
@@ -288,6 +291,34 @@ def test_find_mono_trace_invariants():
         final_p = last.p_i + Fraction(last.rect.value,
                                       (last.n_i // 2) ** 2)
         assert final_p < Fraction(1, 8 * r)
+
+
+@st.composite
+def low_rank_blowups(draw):
+    """Square blow-ups, sides even and at most 12, of random bases of at
+    most 4 x 4 (so rank at most 4): every decrement step is exact."""
+    n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    a, b = (draw(st.sampled_from([d for d in (1, 2, 3, 4) if n % d == 0]))
+            for _ in range(2))
+    bits = draw(st.lists(st.integers(0, 1), min_size=a * b, max_size=a * b))
+    base = BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(a, b))
+    return blow_up(base, n // a, n // b)
+
+
+@settings(max_examples=60)
+@given(low_rank_blowups(), st.integers(0, 3))
+def test_exact_decrement_steps_are_naive_optima(M, seed):
+    # replay the trace: each step's half-rectangle is the brute-force
+    # optimum (ties included) of the matrix that step saw
+    result, trace = find_mono(M, seed=seed)
+    assert result.verify(M)
+    current = complement(M) if M.density() > Fraction(1, 2) else M
+    for step in trace.steps:
+        half = current.n // 2
+        assert (step.n_i, step.p_i, step.strategy) == (
+            current.n, current.density(), "exact")
+        assert step.rect == naive_best_half_rect(current, "-", half, half)
+        current = submatrix(current, step.rect.X, step.rect.Y)
 
 
 def test_find_mono_json_lines_shape():

@@ -329,6 +329,23 @@ def test_oracle_memory_bounded_on_wide_matrix():
         assert peak < 64 * 2**20
 
 
+def test_high_half_table_bounded_like_a_chunk():
+    # at 2^14 scores per chunk, 12 x 2000 splits into 3 low bits and 9 high
+    # bits: a table of all 2^9 high halves would take 4 MB, but blocks of
+    # 2^3 high halves keep it as small as a chunk (64 KB)
+    M = random_dense(12, 2000, "1/2", seed=36)
+    with patch.object(oracle, "_CHUNK_BITS", 14):
+        for call in (lambda: best_rect_pair(M), lambda: disc0_plus(M),
+                     lambda: best_half_rect(M, "-")):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
+
 # -- tie-breaking against the naive oracles -------------------------------------------
 
 @st.composite
