@@ -10,14 +10,13 @@ the config to zero that column when byte-identical reports are required.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import Config, runtime_config
+from .config import Config, check_overrides, runtime_config
 from .constructions import GenSpec
 from .decrement import find_mono
 from .errors import LowRankDiscError
@@ -52,23 +51,14 @@ class ExperimentConfig:
         for op in self.ops:
             if op not in OPS:
                 raise ValueError(f"unknown op {op!r}; choose from {OPS}")
-        # JSON values arrive unconverted: "20" or true must not reach the
-        # oracles, "false" must not count as true, and seed 1.9 must not
-        # run as seed 1
+        # JSON values arrive unconverted: "false" must not count as true,
+        # and seed 1.9 must not run as seed 1 (check_overrides types the
+        # overrides)
         if (not isinstance(self.seeds, list)
                 or any(type(seed) is not int for seed in self.seeds)):
             raise ValueError(
                 f"seeds must be a list of integers, got {self.seeds!r}")
-        for name in ("oracle_limit", "trials"):
-            value = getattr(self, name)
-            if value is not None and (type(value) is not int or value < 1):
-                raise ValueError(
-                    f"{name} must be a positive integer, got {value!r}")
-        tol = self.eig_tol_factor
-        if tol is not None and (type(tol) not in (int, float)
-                                or not 0 < tol < math.inf):
-            raise ValueError(
-                f"eig_tol_factor must be a positive finite number, got {tol!r}")
+        check_overrides(self.oracle_limit, self.trials, self.eig_tol_factor)
         if type(self.timing) is not bool:
             raise ValueError(
                 f"timing must be true or false, got {self.timing!r}")

@@ -6,27 +6,69 @@ For a 0/1 matrix M with density p = |M|/(mn), the rectangle discrepancy is
 
 Everything here is computed in integers scaled by mn (so disc values are
 Fractions with denominator dividing mn) and is exact.  The oracles
-enumerate the row sets X of the smaller side; for a fixed X the optimal
-column set follows from the column scores
+enumerate row sets X of the smaller side; for a fixed X the optimal column
+set follows from the column scores
 
     mn * s_j(X) = mn * |M[X x {j}]| - |M| * |X|,
 
-which makes the oracle exact rather than heuristic.  Scores add up over
-rows, so one split-table scan serves all three oracles: the low L bits of
-the row mask index a table of the scores of all 2^L low-half row sets, and
-the high bits a table of the score rows of the high halves, both built once
-by doubling (one add per row).  Each chunk of the scan is the masks sharing
-one high half, whose scores are the low table plus that half's row.  L is
-chosen from n so that a chunk (and each table) holds at most 2^18 scores,
-whatever the number of columns; when the high halves would not fit, they
-are tabulated in blocks that share their top bits.
+which makes the oracle exact rather than heuristic.
+
+Classes of identical rows.  A row's score row depends only on its content,
+so the scan enumerates classes of identical rows instead of single rows.
+A rank-r 0/1 matrix has at most 2^r distinct rows, and a blow-up at most
+r, so this is what makes the oracles cheap on low-rank inputs; when every
+row is distinct each class is one row and the scan is the row scan.  Rows
+are grouped by the bytes of their packed bits, and the classes are ordered
+by their highest row index.  In that order two unions of classes compare
+by class mask as their row sets compare by row mask: the highest row in
+which they differ lies in the highest class in which they differ.
+
+- The rectangle oracle and the relaxation take each class whole or leave
+  it out, with the class's score row s_k times the row's.  Some optimum
+  of each is a union of classes: with Y* the columns of a smallest-mask
+  optimum X*, X* = {i : t_i(Y*) > 0} for the row totals t_i(Y*), and
+  identical rows have the same t_i (likewise for the sign of a +-1 row
+  coefficient).  So the smallest optimal class mask is the smallest
+  optimal row mask, and ties are broken as before.
+- The half-rectangle oracle gives class k a count c_k in 0..s_k, the
+  counts summing to the row size: a class can be split, but which of its
+  rows are taken does not change the value.  Of the row sets with given
+  counts the smallest row mask takes the c_k lowest rows of each class
+  (its canonical mask), so the smallest optimal row mask is the smallest
+  canonical mask among the optimal count vectors.  prod_k (s_k + 1) <=
+  2^m count vectors are scanned instead of C(m, row size) row sets.
+
+One split-table scan serves all three oracles.  The first classes index a
+table of the scores of all their options (a whole class in or out, or a
+count), the next ones a table of the score rows of the high halves, both
+built once by replication (one add per row or class: a class of s_k rows
+with counts multiplies a table (s_k + 1)-fold).  Each chunk of the scan is
+the vectors sharing one high half, whose scores are the low table plus
+that half's row.  The low classes are chosen from n so that a chunk (and
+each table) holds at most 2^18 scores, whatever the number of columns;
+when the high halves would not fit, they are tabulated in blocks that
+share their top classes.  With a row size the low table is grouped by
+total count and each chunk holds the low halves of the count that is
+missing, as the popcount grouping of the row scan did.
+
+Ties go to the smallest row mask everywhere.  The scan compares keys: a
+union of whole classes is keyed by its class mask, its position in the
+scan, which orders unions as their row masks do; a count vector by its
+canonical row mask, which is additive over classes and so comes from a
+table built like the scores.  Inside a chunk the low halves are in
+ascending key order (scan order for unions; sorted by mask inside each
+count group for count vectors), so the first maximum has the smallest
+key; canonical masks do not rise from chunk to chunk, so between chunks an
+equal value goes to the smaller key explicitly.  Column ties prefer the
+lowest index.
 
 The scan works in the narrowest integer width that is exact.  A row score
-is mn * E_ij - |M|, so it is at most mn in absolute value, and every table
-entry, chunk entry, column sum and objective value is at most m * n * mn =
-(mn)^2.  Scores, tables, scratch buffers and every reduce are therefore
-int32 when (mn)^2 < 2^31, that is mn <= 46340, and int64 otherwise; a
-chunk is then at most 1 MiB.
+is mn * E_ij - |M|, so it is at most mn in absolute value.  Every class
+set and count vector is a row set, so every table entry, chunk entry,
+column sum and objective value is at most m * n * mn = (mn)^2.  Scores,
+tables, scratch buffers and every reduce are therefore int32 when (mn)^2 <
+2^31, that is mn <= 46340, and int64 otherwise; a chunk is then at most
+1 MiB.  Row masks are int64, so at most 63 rows are enumerated.
 
 Both signs of the rectangle oracle come from one pass.  With A(X) =
 sum_j |s_j(X)| and the row total t(X) = sum_j s_j(X), max(s, 0) = (s +
@@ -42,17 +84,15 @@ written in place into one pair of chunk-sized buffers.
 
 The relaxation oracle disc0_plus scans half the sign vectors: (x, y) and
 (-x, -y) have the same value, so the complement of an optimal row set is
-optimal too, and of the two exactly one has bit m-1 clear.  The smallest
-optimal row set has it clear, so only the row sets of the first m-1 rows
-are scanned.
-
-Tie-breaking is deterministic everywhere: masks are scanned in increasing
-order (also when only masks of one popcount are scanned) and ties keep the
-first (smallest-mask) winner; column ties prefer the lowest index.
+optimal too, and of the two exactly one leaves row m-1 out.  The smallest
+optimal row set does, so the class holding row m-1 (the last class) is
+left out of the scan.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,6 +104,7 @@ from .matrix import BinaryMatrix
 
 _CHUNK_BITS = 18
 _INT32_MAX_MN = 46340  # the largest mn with (mn)^2 < 2^31
+_MASK_BITS = 63  # row masks are int64
 _RESTARTS = 8
 
 
@@ -185,95 +226,167 @@ def _require_oracle_size(m: int, cfg: Config) -> None:
         raise CapacityError(
             f"exact enumeration over {m} rows exceeds the oracle limit of "
             f"{cfg.oracle_limit}; use the spectral/heuristic path instead")
+    if m > _MASK_BITS:
+        raise CapacityError(
+            f"exact enumeration over {m} rows exceeds the {_MASK_BITS} rows "
+            f"of an int64 row mask")
 
 
-def _subset_table(rows: np.ndarray, base) -> np.ndarray:
-    """Column t: base plus the sum of the rows i with bit i of t set.
+def _row_classes(M: BinaryMatrix) -> list[list[int]]:
+    """The classes of identical rows of M, each in ascending row order,
+    ordered by their highest row (module docstring).
 
-    Built by doubling, one add per row, in the dtype of rows.
+    Rows are grouped by the bytes of their packed bits, not sorted.
     """
-    k, n = rows.shape
-    table = np.empty((n, 1 << k), dtype=rows.dtype)
+    packed = np.packbits(M.entries, axis=1)
+    data, width = packed.tobytes(), packed.shape[1]
+    classes: dict[bytes, list[int]] = {}
+    for i in range(M.m):
+        classes.setdefault(data[i * width:(i + 1) * width], []).append(i)
+    return sorted(classes.values(), key=lambda rows: rows[-1])
+
+
+def _option_table(steps: np.ndarray, radices: list[int], base) -> np.ndarray:
+    """Column t: base plus the first c_k steps of every class k, where c_k
+    is digit k of t in the mixed radix (radices[k] + 1), class 0 lowest.
+
+    Class k owns the next radices[k] rows of steps.  Built by replication,
+    one add per step, in the dtype of steps.
+    """
+    table = np.empty((steps.shape[1], math.prod(r + 1 for r in radices)),
+                     dtype=steps.dtype)
     table[:, 0] = base
-    for i in range(k):
-        np.add(table[:, :1 << i], rows[i][:, None], out=table[:, 1 << i:2 << i])
+    size, step = 1, 0
+    for radix in radices:
+        for c in range(radix):
+            np.add(table[:, c * size:(c + 1) * size], steps[step][:, None],
+                   out=table[:, (c + 1) * size:(c + 2) * size])
+            step += 1
+        size *= radix + 1
     return table
 
 
-def _scan(M: BinaryMatrix, rows: np.ndarray, values,
-          popcount: int | None = None, base=0) -> list[tuple[int, int]]:
-    """(value, mask) of the first row set with the largest value, one pair
-    per objective.
+def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
+          values, row_size: int | None = None,
+          base=0) -> list[tuple[int, int]]:
+    """(value, row mask) of the smallest row mask with the largest value,
+    one pair per objective.
 
-    Scans the row sets X of the k score rows given (rows i of M, scaled and
-    signed by the caller; only those of popcount rows, with a popcount) in
-    ascending mask order, one chunk per high half of the mask.  In a chunk,
-    the score of X at column j is low[j, t] + high[j]: low is a read-only
-    view of the split table (the scores of the low halves), high the score
-    row of the chunk's high half plus base (a score row, or 0), read from a
-    table of the high halves built by the same doubling, high_total =
-    sum_j high[j] and totals[t] = sum_j low[j, t] from scalar tables of
-    their own.  All of them are in the scan's width, int32 when mn <= 46340
-    (module docstring), so every table entry and column sum must stay
-    within (mn)^2.  values(low, high, high_total, totals, out) returns one
-    array per objective with one int per row set; out is a scratch array of
-    low's shape and width that it may overwrite, reused by every chunk.
+    rows holds the score row of every row of M (scaled and signed by the
+    caller).  Enumerates the given classes of identical rows (from
+    _row_classes, possibly a prefix): without a row size every union of
+    them, with one every count vector summing to it, each class's count
+    taken from its lowest rows.  One chunk per high half; in a chunk, the
+    score of a vector at column j is low[j, t] + high[j]: low is a
+    read-only view of the split table (the scores of the low halves), high
+    the score row of the chunk's high half plus base (a score row, or 0),
+    read from a table of the high halves built by the same replication,
+    high_total = sum_j high[j] and totals[t] = sum_j low[j, t] from scalar
+    tables of their own.  All of them are in the scan's width, int32 when
+    mn <= 46340 (module docstring), so every table entry and column sum
+    must stay within (mn)^2.  values(low, high, high_total, totals, out)
+    returns one array per objective with one int per vector; out is a
+    scratch array of low's shape and width that it may overwrite, reused
+    by every chunk.
 
-    The high-half table is kept as small as a chunk: when it would hold
-    more than 2^_CHUNK_BITS scores, the high halves are taken in blocks
-    that share their top bits, and each block gets a table of its own.
+    Ties go to the smallest key: the class mask of a union, turned into
+    its row mask at the end, or the canonical row mask of a count vector
+    (module docstring).  The high-half table is kept as small as a chunk:
+    when it would hold more than 2^_CHUNK_BITS scores, the high halves are
+    taken in blocks that share their top classes, and each block gets a
+    table of its own.
     """
-    k, n = rows.shape
     width = np.int32 if M.m * M.n <= _INT32_MAX_MN else np.int64
-    rows = rows.astype(width)
-    bits = max(0, _CHUNK_BITS - (n - 1).bit_length())
-    low = min(k, bits)
-    mid = min(k - low, bits)
-    table = _subset_table(rows[:low], 0)
-    lo_masks = np.arange(1 << low, dtype=np.int64)
-    if popcount is not None:
-        # group the low halves by popcount, ascending within each group
-        sizes = _subset_table(np.ones((low, 1), dtype=np.int64), 0)[0]
-        lo_masks = np.argsort(sizes, kind="stable")
-        table = table[:, lo_masks]
-        starts = np.searchsorted(sizes[lo_masks], np.arange(low + 2))
+    counted = row_size is not None
+    if counted:
+        # a class is one step per row, its count c_k its first c_k rows
+        radices = [len(c) for c in classes]
+        order = [i for c in classes for i in c]
+        steps = rows[order].astype(width)
+    else:
+        # a class is one step, taken whole or left out
+        radices = [1] * len(classes)
+        sizes = np.array([len(c) for c in classes], dtype=np.int64)
+        steps = (rows[[c[-1] for c in classes]] * sizes[:, None]).astype(width)
+    ends = list(itertools.accumulate(radices, initial=0))
+    chunk_size = 1 << max(0, _CHUNK_BITS - (rows.shape[1] - 1).bit_length())
+
+    def fits(start: int) -> int:
+        # the end of the longest run of classes from start whose options
+        # fit in a chunk
+        end, size = start, 1
+        while end < len(radices) and size * (radices[end] + 1) <= chunk_size:
+            size *= radices[end] + 1
+            end += 1
+        return end
+
+    low = fits(0)
+    mid = fits(low)
+    lo, hi = slice(0, ends[low]), slice(ends[low], ends[mid])
+    table = _option_table(steps[lo], radices[:low], 0)
+    if counted:
+        # a vector's key is its canonical row mask, tabulated with its
+        # count; the low halves are grouped by count, masks ascending
+        labels = np.array([[1 << i, 1] for i in order], dtype=np.int64)
+        lo_keys, counts = _option_table(labels[lo], radices[:low], 0)
+        by_count = np.lexsort((lo_keys, counts))
+        table, lo_keys = table[:, by_count], lo_keys[by_count]
+        starts = np.searchsorted(counts[by_count], np.arange(ends[low] + 2))
+    else:
+        # a union's key is its class mask, which orders unions as their
+        # row masks do
+        lo_keys = np.arange(table.shape[1])
     table.flags.writeable = False
     totals = table.sum(axis=0, dtype=width)
     # one scratch buffer: a fresh chunk-sized array per chunk costs page
     # faults whenever the allocator hands the freed one back to the system
     scratch = np.empty(table.size, dtype=width)
-    top_bits = np.arange(k - low - mid, dtype=width)
     part = slice(None)
     best = None
-    for top in range(1 << (k - low - mid)):
-        in_top = (top >> top_bits) & 1
-        highs = _subset_table(rows[low:low + mid],
-                              base + in_top @ rows[low + mid:])
+    for t, options in enumerate(itertools.product(
+            *(range(r + 1) for r in reversed(radices[mid:])))):
+        # the first c_k steps of each top class k, the last class the
+        # slowest digit
+        tops = [slice(ends[k], ends[k] + c) for k, c in zip(
+            range(len(radices) - 1, mid - 1, -1), options)]
+        highs = _option_table(steps[hi], radices[low:mid],
+                              base + sum(steps[s].sum(axis=0) for s in tops))
         high_totals = highs.sum(axis=0, dtype=width)
-        for h in range(1 << mid):
-            high = (top << mid) | h
-            if popcount is not None:
-                need = popcount - high.bit_count()
-                if not 0 <= need <= low:
+        if counted:
+            high_keys, high_counts = _option_table(
+                labels[hi], radices[low:mid],
+                sum(labels[s].sum(axis=0) for s in tops)).tolist()
+        else:
+            high_keys = [((t << (mid - low)) | h) << low
+                         for h in range(highs.shape[1])]
+        for h, high_key in enumerate(high_keys):
+            if counted:
+                need = row_size - high_counts[h]
+                if not 0 <= need <= ends[low]:
                     continue
                 part = slice(starts[need], starts[need + 1])
             chunk = table[:, part]
-            firsts = []
+            wins = []
             for vals in values(chunk, highs[:, h], high_totals[h],
                                totals[part],
                                scratch[:chunk.size].reshape(chunk.shape)):
                 idx = int(vals.argmax())
-                firsts.append((int(vals[idx]),
-                               (high << low) | int(lo_masks[part][idx])))
-            best = firsts if best is None else [
-                new if new[0] > old[0] else old
-                for old, new in zip(best, firsts)]
+                wins.append((int(vals[idx]),
+                             high_key | int(lo_keys[part][idx])))
+            # an equal value goes to the smaller key
+            best = wins if best is None else [
+                new if new[0] > old[0] or new[0] == old[0] and new[1] < old[1]
+                else old for old, new in zip(best, wins)]
+    if not counted:
+        best = [(val, sum(1 << i for k, c in enumerate(classes)
+                          if key >> k & 1 for i in c)) for val, key in best]
     return best
 
 
 def _row_scores(M: BinaryMatrix) -> np.ndarray:
-    """mn * s_j({i}) for every row i of M, one score row each."""
-    return _scores(M.int_entries(), M.ones, np.eye(M.m, dtype=np.int64))
+    """mn * s_j({i}) = mn * E_ij - |M| for every row i of M, one score row
+    each."""
+    return M.m * M.n * M.int_entries() - M.ones
 
 
 def _abs_sum(low, high, out) -> np.ndarray:
@@ -299,8 +412,9 @@ def best_rect_pair(M: BinaryMatrix,
                    cfg: Config = DEFAULT) -> tuple[Rectangle, Rectangle]:
     """Exact max and min of disc(X, Y) over all rectangles, from one scan.
 
-    Enumerates subsets X of the smaller side; for fixed X the optimal Y is
-    {j : s_j(X) > 0} for the maximum and {j : s_j(X) < 0} for the minimum.
+    Enumerates the unions X of classes of identical rows of the smaller
+    side (module docstring); for fixed X the optimal Y is {j : s_j(X) > 0}
+    for the maximum and {j : s_j(X) < 0} for the minimum.
     Both parts come doubled from one add, abs and column sum per chunk,
     2P = A + t and 2N = A - t (module docstring).  Each sign keeps its own
     first (smallest) row mask with the largest part, then halves it.
@@ -325,7 +439,7 @@ def best_rect_pair(M: BinaryMatrix,
         np.subtract(A, two_n, out=two_n)
         return two_p, two_n
 
-    best = _scan(M, _row_scores(M), doubled_parts)
+    best = _scan(M, _row_scores(M), _row_classes(M), doubled_parts)
     return tuple(_rect_of_mask(M, sign, (val // 2, mask))
                  for sign, (val, mask) in zip("+-", best))
 
@@ -362,7 +476,14 @@ def best_half_rect(M: BinaryMatrix, sign: str,
 
     A missing size defaults to half its side, which must then be even.  For
     fixed X the optimal Y consists of the col_size largest (sign '+') or
-    smallest (sign '-') column scores, ties to the lowest index.
+    smallest (sign '-') column scores, ties to the lowest index.  Rows are
+    enumerated by class: class k of s_k identical rows contributes a count
+    c_k in 0..s_k, the counts summing to row_size, so prod_k (s_k + 1)
+    count vectors are scanned instead of C(m, row_size) row sets.  The
+    value depends on the counts only, and the smallest row mask with given
+    counts takes the c_k lowest rows of each class, so returning the
+    smallest such mask among the optimal count vectors keeps the tie rule
+    of a scan over all row sets: the smallest optimal row mask.
     """
     _check_sign(sign)
     row_size, col_size = _half_sizes(M, row_size, col_size)
@@ -376,7 +497,8 @@ def best_half_rect(M: BinaryMatrix, sign: str,
         return (scores[top:].sum(axis=0, dtype=scores.dtype),)
 
     rows = _row_scores(M)
-    (best,) = _scan(M, rows if sign == "+" else -rows, largest, row_size)
+    (best,) = _scan(M, rows if sign == "+" else -rows, _row_classes(M),
+                    largest, row_size)
     return _rect_of_mask(M, sign, best, col_size)
 
 
@@ -388,9 +510,10 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
     (zero scores get +1).  With x = +1 on X and -1 elsewhere, the column
     scores are 2 s(X) - s([m]), so the value of X is sum_j |2 s_j(X) -
     s_j([m])|, at most (mn)^2: the scan's width rule covers it, and the
-    scan enumerates the doubled score rows.  x and -x have the same value
-    and the smallest optimal X leaves row m-1 out (module docstring), so
-    for m >= 2 only the 2^(m-1) row sets of the first m-1 rows are scanned.
+    scan enumerates the doubled score rows.  X is a union of classes of
+    identical rows, and x and -x have the same value, so the smallest
+    optimal X leaves out the class of row m-1 (module docstring): with K
+    classes only the 2^(K-1) unions of the other classes are scanned.
     """
     if M.m > M.n:
         pair = disc0_plus(M.transpose(), cfg)
@@ -401,8 +524,9 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
     def signed_total(low, high, high_total, totals, out):
         return (_abs_sum(low, high, out),)
 
-    # the high halves start from -s([m]), so high is 2 s(high half) - s([m])
-    ((val, mask),) = _scan(M, 2 * rows[:max(1, M.m - 1)], signed_total,
+    # the high halves start from -s([m]), so high is 2 s(high half) - s([m]);
+    # the last class holds row m-1, which the smallest optimum leaves out
+    ((val, mask),) = _scan(M, 2 * rows, _row_classes(M)[:-1], signed_total,
                            None, -rows.sum(axis=0))
     x = 2 * ((mask >> np.arange(M.m)) & 1) - 1
     y = np.where(_scores(M.int_entries(), M.ones, x) >= 0, 1, -1)

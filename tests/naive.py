@@ -8,6 +8,7 @@ exact; values are integers scaled by m*n unless stated otherwise.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -203,3 +204,17 @@ def minor_rank(M: BinaryMatrix) -> int:
         else:
             break
     return best
+
+
+def largest_permutation_submatrix(E: np.ndarray) -> int:
+    """The largest k such that some k x k submatrix E[R, C] is a
+    permutation matrix, by trying every pair of index sets; 0 if none."""
+    m, n = E.shape
+    for k in range(min(m, n), 0, -1):
+        for R in itertools.combinations(range(m), k):
+            sub = E[list(R)]
+            for C in itertools.combinations(range(n), k):
+                S = sub[:, list(C)]
+                if (S.sum(axis=0) == 1).all() and (S.sum(axis=1) == 1).all():
+                    return k
+    return 0

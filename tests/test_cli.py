@@ -84,6 +84,22 @@ def test_bound_identity8(tmp_path, capsys):
                         "residual", "matrix_hash"}
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("bound", "--tol-eig", "nan"), ("bound", "--tol-eig", "inf"),
+    ("bound", "--tol-eig", "0"), ("bound", "--tol-eig", "-1e-10"),
+    ("disc", "--oracle-limit", "0"), ("disc", "--oracle-limit", "-1"),
+    ("mono", "--oracle-limit", "0"), ("mono", "--trials", "0"),
+    ("mono", "--trials", "-3")])
+def test_cli_rejects_out_of_range_overrides(tmp_path, capsys, command,
+                                            option, value):
+    # a nan or inf tolerance would skip every eigensolver check and print
+    # an uncertified bound; the CLI shares the experiment config's checks
+    path = write_matrix(tmp_path, fixtures("identity(8)"))
+    code, out, err = run_cli([command, path, f"{option}={value}"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and value in err
+
+
 def test_bound_all_ones_regime_exit_4(tmp_path, capsys):
     path = write_matrix(tmp_path, fixtures("all_ones(6,6)"))
     code, _, err = run_cli(["bound", path], capsys)

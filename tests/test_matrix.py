@@ -15,7 +15,8 @@ from lowrankdisc import matrix
 from lowrankdisc.matrix import _MODP, _pivots_mod_p
 
 from conftest import random_corpus
-from naive import fraction_rank, minor_rank
+from naive import (fraction_rank, largest_permutation_submatrix,
+                   minor_rank)
 
 
 # -- construction and stats ----------------------------------------------------
@@ -120,6 +121,14 @@ def test_rank_exact_whatever_the_first_prime(E):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matrix, "_MODP", p)
             assert rank(BinaryMatrix(E)) == expected
+
+
+@given(rank_matrices())
+def test_rank_at_least_any_permutation_submatrix(E):
+    # a k x k permutation submatrix is nonsingular, so rank(M) >= k; the
+    # largest is found by brute force on the leading 6 x 6 block
+    E = E[:6, :6]
+    assert rank(BinaryMatrix(E)) >= largest_permutation_submatrix(E)
 
 
 @pytest.mark.parametrize("E", [

@@ -13,6 +13,8 @@ from lowrankdisc import (BinaryMatrix, CapacityError, Rectangle,
                          best_rect_pair, blow_up, disc0_plus, disc_minus,
                          disc_plus, disc_value, fixtures, heuristic_rect,
                          oracle, random_dense)
+from lowrankdisc.config import DEFAULT
+
 from conftest import random_corpus, small_fixtures
 from naive import (naive_best_half_rect, naive_best_rect, naive_disc0,
                    rowwise_best_rect_pair, rowwise_disc0)
@@ -117,6 +119,23 @@ def test_best_rect_capacity_error():
     M = random_dense(30, 30, "1/2", seed=25)
     with pytest.raises(CapacityError):
         best_rect(M, "+")
+
+
+def test_class_scan_reaches_63_rows_of_a_blow_up():
+    # a 63 x 63 blow-up has 3 classes of identical rows, so its exact
+    # optima are cheap above the default limit; disc and disc0 scale by
+    # the 21 * 21 cells of a block.  Row masks are int64, so 64 rows are
+    # refused whatever the limit
+    M = random_dense(3, 3, "1/2", seed=41)
+    cfg = DEFAULT.with_overrides(oracle_limit=100)
+    big = blow_up(M, 21, 21)
+    plus, minus = best_rect_pair(big, cfg)
+    assert (plus.value, minus.value) == tuple(
+        441 * r.value for r in best_rect_pair(M))
+    assert plus.verify(big) and minus.verify(big)
+    assert disc0_plus(big, cfg).value == 441 * disc0_plus(M).value
+    with pytest.raises(CapacityError):
+        best_rect_pair(blow_up(M, 22, 22), cfg)
 
 
 def test_trivial_cap():
@@ -270,11 +289,11 @@ def scanned_masks(call) -> int:
     seen = []
     scan = oracle._scan
 
-    def counting(M, rows, values, *rest):
+    def counting(M, rows, classes, values, *rest):
         def counted(low, *args):
             seen.append(low.shape[1])
             return values(low, *args)
-        return scan(M, rows, counted, *rest)
+        return scan(M, rows, classes, counted, *rest)
 
     with patch.object(oracle, "_scan", counting):
         call()
@@ -283,8 +302,9 @@ def scanned_masks(call) -> int:
 
 @pytest.mark.parametrize("chunk_bits", [oracle._CHUNK_BITS, 2])
 def test_disc0_scans_half_the_sign_vectors(chunk_bits):
-    # x and -x tie, so only the row sets without the last row are scanned
-    # (both sets when m = 1), and the result is still the naive optimum
+    # x and -x tie, so only the unions of the classes of identical rows
+    # without the class of the last row are scanned (2^(K-1) of them for
+    # K distinct rows), and the result is still the naive optimum
     cases = [random_dense(1, 5, "1/2", seed=37), fixtures("all_zeros(3,4)"),
              blow_up(fixtures("identity(2)"), 2, 3),
              blow_up(fixtures("identity(3)"), 1, 2),
@@ -300,7 +320,8 @@ def test_disc0_scans_half_the_sign_vectors(chunk_bits):
         with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
             masks = scanned_masks(lambda: got.append(disc0_plus(M)))
         assert got == [expected]
-        assert masks == 1 << max(1, wide.m - 1)
+        distinct = len(np.unique(wide.entries, axis=0))
+        assert masks == 1 << (distinct - 1)
 
 
 @pytest.mark.parametrize("n", [23170, 23172, 46342])
@@ -350,16 +371,31 @@ def test_high_half_table_bounded_like_a_chunk():
 
 @st.composite
 def small_wide_matrices(draw):
-    """0/1 matrices up to 6 x 6 with m <= n; half are tie-heavy blow-ups."""
-    if draw(st.booleans()):
+    """0/1 matrices up to 6 x 6 with m <= n: random bits, tie-heavy
+    blow-ups of identities, and blow-ups of random bases with their rows
+    and columns permuted, so that classes of identical rows interleave,
+    some rows zeroed."""
+    kind = draw(st.sampled_from(["bits", "identity", "permuted"]))
+    if kind == "identity":
         k = draw(st.integers(1, 3))
         a = draw(st.integers(1, 6 // k))
         b = draw(st.integers(a, 6 // k))
         return blow_up(fixtures(f"identity({k})"), a, b)
     m = draw(st.integers(1, 6))
     n = draw(st.integers(m, 6))
-    bits = draw(st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n))
-    return BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(m, n))
+    if kind == "bits":
+        bits = draw(st.lists(st.integers(0, 1), min_size=m * n,
+                             max_size=m * n))
+        return BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(m, n))
+    k = draw(st.integers(1, 3))
+    l = draw(st.integers(1, 3))
+    base = np.array(draw(st.lists(st.integers(0, 1), min_size=k * l,
+                                  max_size=k * l)), dtype=np.uint8)
+    rows = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+    cols = draw(st.lists(st.integers(0, l - 1), min_size=n, max_size=n))
+    E = base.reshape(k, l)[np.ix_(rows, cols)]
+    E[draw(st.lists(st.booleans(), min_size=m, max_size=m))] = 0
+    return BinaryMatrix(E)
 
 
 def widths():
@@ -369,18 +405,43 @@ def widths():
             for limit in (oracle._INT32_MAX_MN, 0)]
 
 
-@given(small_wide_matrices(), st.sampled_from([oracle._CHUNK_BITS, 4]))
-def test_oracles_break_ties_like_naive(M, chunk_bits):
+@given(small_wide_matrices(), st.sampled_from([oracle._CHUNK_BITS, 4]),
+       st.data())
+def test_oracles_break_ties_like_naive(M, chunk_bits, data):
     # smallest row mask first, then the naive oracles' column choice; with
-    # 4 chunk bits a chunk holds 2 to 16 masks, so ties also span chunks
+    # 4 chunk bits a chunk holds 1 to 16 vectors, so ties also span chunks.
+    # The half rectangle is checked at drawn sizes (odd sides included)
+    # and, on even sides, at its default half sizes
+    row_size = data.draw(st.integers(1, M.m))
+    col_size = data.draw(st.integers(1, M.n))
     for width in widths():
         with patch.object(oracle, "_CHUNK_BITS", chunk_bits), width:
             for sign in "+-":
                 assert best_rect(M, sign) == naive_best_rect(M, sign)
+                assert (best_half_rect(M, sign, row_size, col_size)
+                        == naive_best_half_rect(M, sign, row_size, col_size))
                 if M.m % 2 == 0 and M.n % 2 == 0:
                     assert (best_half_rect(M, sign)
                             == naive_best_half_rect(M, sign))
             assert disc0_plus(M) == naive_disc0(M)
+
+
+@pytest.mark.parametrize("chunk_bits", [oracle._CHUNK_BITS, 4])
+@pytest.mark.parametrize("rows, sign, row_size, col_size", [
+    ([[0, 0, 0], [1, 1, 0], [0, 0, 0]], "-", 1, 1),
+    ([[0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1],
+      [0, 0, 0, 1, 1, 1]], "+", 1, 5)])
+def test_half_rect_count_vector_ties_go_to_the_smallest_mask(
+        rows, sign, row_size, col_size, chunk_bits):
+    # the class of row 1 comes first (its highest row is lowest), so in
+    # class order X = {1} comes before X = {0}, which ties with it; in one
+    # chunk the low halves are sorted by mask, and with 4 chunk bits the
+    # two lie in different chunks, where the smaller mask must win
+    M = BinaryMatrix(np.array(rows, dtype=np.uint8))
+    with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
+        got = best_half_rect(M, sign, row_size, col_size)
+    assert got == naive_best_half_rect(M, sign, row_size, col_size)
+    assert got.X == (0,)
 
 
 @st.composite
@@ -404,3 +465,35 @@ def test_rect_pair_equals_both_naive_optima(M, chunk_bits):
         with patch.object(oracle, "_CHUNK_BITS", chunk_bits), width:
             assert best_rect_pair(M) == expected
             assert tuple(best_rect(M, sign) for sign in "+-") == expected
+
+
+@given(small_matrices(), st.sampled_from([oracle._CHUNK_BITS, 4]))
+def test_disc0_equals_naive_on_both_orientations(M, chunk_bits):
+    # a tall matrix is enumerated over its columns, so its reference is the
+    # naive optimum of the transpose, transposed back
+    wide = M if M.m <= M.n else M.transpose()
+    expected = naive_disc0(wide)
+    if wide is not M:
+        expected = SignVectorPair(x=expected.y, y=expected.x,
+                                  value=expected.value)
+    for width in widths():
+        with patch.object(oracle, "_CHUNK_BITS", chunk_bits), width:
+            assert disc0_plus(M) == expected
+
+
+def test_blow_up_scans_count_vectors_not_row_sets():
+    # a 12 x 12 blow-up of a 4 x 4 base with interleaved rows has at most 4
+    # classes of identical rows, so the scans see at most 2^4 unions and
+    # prod_k (s_k + 1) count vectors instead of 2^12 row sets and
+    # C(12, 6) = 924 half sets; the results are the row-level optima
+    base = random_dense(4, 4, "1/2", seed=40)
+    rows = np.random.default_rng(40).permutation(np.arange(12) % 4)
+    M = BinaryMatrix(base.entries[rows][:, np.arange(12) % 4])
+    sizes = np.unique(M.entries, axis=0, return_counts=True)[1]
+    assert scanned_masks(lambda: best_rect_pair(M)) == 1 << len(sizes)
+    assert scanned_masks(lambda: disc0_plus(M)) == 1 << (len(sizes) - 1)
+    assert scanned_masks(lambda: best_half_rect(M, "-")) < np.prod(sizes + 1)
+    assert best_rect_pair(M) == rowwise_best_rect_pair(M)
+    assert disc0_plus(M) == rowwise_disc0(M)
+    for sign in "+-":
+        assert best_half_rect(M, sign) == naive_best_half_rect(M, sign)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from lowrankdisc import (CertificateError, RegimeError, blow_up, disc_of_psd,
+from lowrankdisc import (BinaryMatrix, CertificateError, RegimeError, blow_up, disc_of_psd,
                          disc_plus, disc_value, discX_bound, eigendecompose,
                          fixtures, lower_bound_disc, random_dense, rank,
                          regular_blowup, symmetrize, truncate_high_degree,
@@ -406,3 +407,30 @@ def test_certificate_branches_never_symmetrize(monkeypatch):
         cert = lower_bound_disc(M, cfg=cfg)
         assert cert.kind == kind
         assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Square 0/1 matrices up to 12 x 12 with average degree <= n/2 (the
+    denser ones complemented): random bits of a drawn density, or
+    blow-ups of a random base with rows and columns permuted."""
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        E = (gen.random((n, n)) < draw(st.sampled_from([0.1, 0.3, 0.5])))
+    else:
+        k = draw(st.integers(1, 4))
+        base = gen.random((k, k)) < 0.5
+        E = base[np.ix_(gen.integers(0, k, n), gen.integers(0, k, n))]
+    E = E.astype(np.uint8)
+    return BinaryMatrix(1 - E if 2 * int(E.sum()) > n * n else E)
+
+
+@given(certificate_inputs())
+def test_every_certificate_holds_its_bound(M):
+    # whatever branch builds it, a certificate's directly evaluated value
+    # reaches its bound, and its witness diagonal stays within 1
+    cert = lower_bound_disc(M)
+    assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
+    assert cert.diag_max <= 1.0 + DEFAULT.diag_tol
