@@ -13,6 +13,27 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 
+def check_overrides(oracle_limit=None, trials=None,
+                    eig_tol_factor=None) -> None:
+    """Raise ValueError for a user-settable override out of range.
+
+    None keeps a default.  oracle_limit and trials must be positive
+    integers and eig_tol_factor a positive finite number: a nan or inf
+    tolerance would pass every eigensolver check.  Types are checked too,
+    because JSON values arrive unconverted ("20" or true must not reach
+    the oracles).
+    """
+    for name, value in (("oracle_limit", oracle_limit), ("trials", trials)):
+        if value is not None and (type(value) is not int or value < 1):
+            raise ValueError(
+                f"{name} must be a positive integer, got {value!r}")
+    tol = eig_tol_factor
+    if tol is not None and (type(tol) not in (int, float)
+                            or not 0 < tol < math.inf):
+        raise ValueError(
+            f"eig_tol_factor must be a positive finite number, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class Config:
     # eigensolver acceptance: residual / orthonormality / pairing must be
@@ -48,6 +69,10 @@ class Config:
     # (observed maximum 2.31; pinned well above).
     c_band: float = 12.0
 
+    def __post_init__(self):
+        check_overrides(self.oracle_limit, self.rounding_trials,
+                        self.eig_tol_factor)
+
     def num_tol(self, value: float) -> float:
         return self.num_tol_base * (1.0 + abs(value))
 
@@ -58,34 +83,12 @@ class Config:
 DEFAULT = Config()
 
 
-def check_overrides(oracle_limit=None, trials=None,
-                    eig_tol_factor=None) -> None:
-    """Raise ValueError for a user-settable override out of range.
-
-    None keeps a default.  oracle_limit and trials must be positive
-    integers and eig_tol_factor a positive finite number: a nan or inf
-    tolerance would pass every eigensolver check.  Types are checked too,
-    because JSON values arrive unconverted ("20" or true must not reach
-    the oracles).
-    """
-    for name, value in (("oracle_limit", oracle_limit), ("trials", trials)):
-        if value is not None and (type(value) is not int or value < 1):
-            raise ValueError(
-                f"{name} must be a positive integer, got {value!r}")
-    tol = eig_tol_factor
-    if tol is not None and (type(tol) not in (int, float)
-                            or not 0 < tol < math.inf):
-        raise ValueError(
-            f"eig_tol_factor must be a positive finite number, got {tol!r}")
-
-
 def runtime_config(oracle_limit: int | None = None, trials: int | None = None,
                    eig_tol_factor: float | None = None) -> Config:
     """DEFAULT with the user-settable overrides applied; None keeps a default.
 
-    Raises ValueError for an override out of range (check_overrides).
+    Raises ValueError for an override out of range (Config checks them).
     """
-    check_overrides(oracle_limit, trials, eig_tol_factor)
     overrides = {name: value for name, value in (
         ("oracle_limit", oracle_limit), ("rounding_trials", trials),
         ("eig_tol_factor", eig_tol_factor)) if value is not None}

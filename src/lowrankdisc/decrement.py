@@ -61,29 +61,36 @@ def round_to_rect(M: BinaryMatrix, grams, trials: int, seed: int,
     m, n = M.shape
     if V.shape[0] != m or W.shape[0] != n:
         raise ValueError("gram vector blocks do not match the matrix shape")
-    E = M.int_entries()
-    full = _scores(E, M.ones, np.ones(m, dtype=np.int64))
-
-    best_val = 0
-    best_rect = Rectangle(X=(), Y=(), value=Fraction(0))
     k = V.shape[1]
+    xs = np.empty((trials, m), dtype=bool)
+    ys = np.empty((trials, n), dtype=bool)
     for t in range(trials):
         g = generator(seed, STREAM_ROUND, *stream, t).standard_normal(k)
-        x_pos = (V @ g) >= 0
-        y_pos = (W @ g) >= 0
-        pos = _scores(E, M.ones, x_pos)
-        # scores add over rows, so the other half's are full - pos; an empty
-        # side scores 0, which never beats best_val
-        for xmask, col in ((x_pos, pos), (~x_pos, full - pos)):
-            for ymask in (y_pos, ~y_pos):
-                val = int(col[ymask].sum())
-                if val < best_val:
-                    best_val = val
-                    best_rect = Rectangle(
-                        X=tuple(int(i) for i in np.nonzero(xmask)[0]),
-                        Y=tuple(int(j) for j in np.nonzero(ymask)[0]),
-                        value=Fraction(val, m * n))
-    return best_rect
+        xs[t] = (V @ g) >= 0
+        ys[t] = (W @ g) >= 0
+    # the column counts of every trial's rows in one matmul, exact in
+    # float64 since each is at most m; pos holds their scaled scores
+    E = M.entries.astype(np.float64)
+    counts = (xs.astype(np.float64) @ E).astype(np.int64)
+    pos = m * n * counts - M.ones * xs.sum(axis=1, keepdims=True)
+    full = m * n * M.col_deg - M.ones * m
+    # scores add over rows and over columns, and full sums to 0, so the
+    # quadrants (x, y), (x, ~y), (~x, y), (~x, ~y) of a trial follow from
+    # three sums; an empty side scores 0, which never wins
+    both = np.where(ys, pos, 0).sum(axis=1)
+    pos_total = pos.sum(axis=1)
+    full_y = np.where(ys, full, 0).sum(axis=1)
+    quadrants = np.stack([both, pos_total - both, full_y - both,
+                          both - pos_total - full_y], axis=1)
+    t, q = divmod(int(np.argmin(quadrants)), 4)
+    val = int(quadrants[t, q])
+    if val >= 0:
+        return Rectangle(X=(), Y=(), value=Fraction(0))
+    xmask = xs[t] if q < 2 else ~xs[t]
+    ymask = ys[t] if q % 2 == 0 else ~ys[t]
+    return Rectangle(X=tuple(np.flatnonzero(xmask).tolist()),
+                     Y=tuple(np.flatnonzero(ymask).tolist()),
+                     value=Fraction(val, m * n))
 
 
 def adjust_to_half(M: BinaryMatrix, R: Rectangle,

@@ -5,7 +5,8 @@ density-decrement loop) leans on these invariants:
 
   * entries are 0/1, stored dense, immutable after construction;
   * counts (ones, degrees) are integers, densities are Fractions;
-  * rank is exact over the rationals: elimination over GF(p) gives a lower
+  * rank is exact over the rationals: elimination over GF(p) on the
+    distinct rows and columns, in float64 block updates, gives a lower
     bound, a p-adic certificate in float64 matmuls proves it is also an
     upper bound, and the result is memoized on the matrix.
 """
@@ -147,36 +148,97 @@ def density_stats(M: BinaryMatrix) -> DensityStats:
 
 # -- exact rank ---------------------------------------------------------------
 
+def _row_classes(E: np.ndarray) -> list[list[int]]:
+    """The classes of identical rows of the 0/1 array E, each in ascending
+    row order, ordered by their highest row.
+
+    Rows are grouped by the bytes of their packed bits, not sorted.  Under
+    this order a union of classes compares by class mask as by row mask,
+    which the exact oracles rely on.
+    """
+    packed = np.packbits(E, axis=1)
+    data, width = packed.tobytes(), packed.shape[1]
+    classes: dict[bytes, list[int]] = {}
+    for i in range(E.shape[0]):
+        classes.setdefault(data[i * width:(i + 1) * width], []).append(i)
+    return sorted(classes.values(), key=lambda rows: rows[-1])
+
+
+def _distinct(E: np.ndarray) -> np.ndarray:
+    """E restricted to its first copy of every row and every column, in
+    their order in E.  Copies add no rank, so the rank is E's."""
+    E = E[sorted(rows[0] for rows in _row_classes(E))]
+    return E[:, sorted(cols[0] for cols in _row_classes(E.T))]
+
+
+# Pivots of _pivots_mod_p kept pending before they update the trailing
+# matrix: the block of one float64 matmul.
+_PENDING = 128
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x minus the multiple of p nearest to it, in place: zero iff p
+    divides x, and strictly between -p and p otherwise.
+
+    x holds integers below p + _PENDING * p^2 < 2^53 in absolute value, so
+    x / p is below 2^31 and its float64 value is off by less than 2^-21:
+    the rounded quotient is off by at most one from the nearest, and the
+    result, at most p/2 + p * 2^-21 in absolute value, is exact.
+    """
+    q = x * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
 def _pivots_mod_p(E: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Pivot rows and pivot columns of Gaussian elimination over GF(p).
 
     Their number is the rank over GF(p), a lower bound on the rational rank.
     Rows come in pivot order, so every leading principal minor of the pivot
-    block E[rows][:, cols] is nonzero mod p.
+    block E[rows][:, cols] is nonzero mod p.  The pivot in each column is
+    the first entry not divisible by p below the pivots found so far.
+
+    Updates are delayed: the multipliers L and reduced rows U of up to
+    _PENDING pivots are kept aside, each column is brought up to date by
+    one matvec before its pivot search, and a full block enters the
+    trailing matrix as one float64 matmul.  Every stored residue lies
+    strictly between -p and p (`_reduce`), so every sum is below
+    p + _PENDING * p^2 < 2^53 and exact.
     """
-    A = (E.astype(np.int64)) % p
+    b = _PENDING
+    assert p + b * p * p < 2 ** 53, "modulus too large for float64"
+    A = _reduce(np.asfortranarray(E, dtype=np.float64), p)
     m, n = A.shape
     perm = np.arange(m)
+    L = np.zeros((m, b))  # multipliers, by current row position
+    Ut = np.zeros((n, b))  # reduced pivot rows, one per column of Ut
     cols = []
-    r = 0
+    r = k = 0
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        col = _reduce(A[r:, c] - L[r:, :k] @ Ut[c, :k], p)
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-            perm[[r, i]] = perm[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        if r + 1 < m:
-            factors = (A[r + 1:, c] * inv) % p
-            A[r + 1:, c + 1:] = (A[r + 1:, c + 1:]
-                                 - factors[:, None] * A[r, c + 1:][None, :]) % p
-            A[r + 1:, c] = 0
+        i = int(nz[0])
+        inv = pow(int(col[i]), -1, p)
+        if i:
+            A[[r, r + i]] = A[[r + i, r]]
+            L[[r, r + i]] = L[[r + i, r]]
+            perm[[r, r + i]] = perm[[r + i, r]]
+            col[i] = col[0]  # col[0], the pivot, gets no multiplier
+        L[r + 1:, k] = _reduce(col[1:] * inv, p)
+        Ut[c + 1:, k] = _reduce(A[r, c + 1:] - Ut[c + 1:, :k] @ L[r, :k], p)
         cols.append(c)
         r += 1
+        k += 1
+        if k == b:
+            A[r:, c + 1:] -= (Ut[c + 1:] @ L[r:].T).T
+            _reduce(A[r:, c + 1:], p)
+            k = 0
     return perm[:r], np.array(cols, dtype=np.int64)
 
 
@@ -254,17 +316,18 @@ def _next_prime(p: int) -> int:
 def rank(M: BinaryMatrix) -> int:
     """Exact rank over the rationals, memoized on M.
 
-    Elimination over GF(p) gives pivot rows R and columns C; full rank is
-    then certain, and otherwise `_schur_vanishes` proves rank <= |R| with
-    float64 matmuls.  If p divided a minor, the next prime is tried.
+    Everything runs on the distinct rows and columns of M, which have its
+    rank.  Elimination over GF(p) gives pivot rows R and columns C; full
+    rank is then certain, and otherwise `_schur_vanishes` proves rank <= |R|
+    with float64 matmuls.  If p divided a minor, the next prime is tried.
     """
     if M._rank is None:
+        E = _distinct(M.entries)
         p = _MODP
-        R, C = _pivots_mod_p(M.entries, p)
-        while (len(R) < min(M.m, M.n)
-               and not _schur_vanishes(M.entries, R, C, p)):
+        R, C = _pivots_mod_p(E, p)
+        while len(R) < min(E.shape) and not _schur_vanishes(E, R, C, p):
             p = _next_prime(p)
-            R, C = _pivots_mod_p(M.entries, p)
+            R, C = _pivots_mod_p(E, p)
         M._rank = len(R)
     return M._rank
 

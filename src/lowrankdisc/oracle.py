@@ -100,7 +100,7 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import CapacityError
-from .matrix import BinaryMatrix
+from .matrix import BinaryMatrix, _row_classes
 
 _CHUNK_BITS = 18
 _INT32_MAX_MN = 46340  # the largest mn with (mn)^2 < 2^31
@@ -230,20 +230,6 @@ def _require_oracle_size(m: int, cfg: Config) -> None:
         raise CapacityError(
             f"exact enumeration over {m} rows exceeds the {_MASK_BITS} rows "
             f"of an int64 row mask")
-
-
-def _row_classes(M: BinaryMatrix) -> list[list[int]]:
-    """The classes of identical rows of M, each in ascending row order,
-    ordered by their highest row (module docstring).
-
-    Rows are grouped by the bytes of their packed bits, not sorted.
-    """
-    packed = np.packbits(M.entries, axis=1)
-    data, width = packed.tobytes(), packed.shape[1]
-    classes: dict[bytes, list[int]] = {}
-    for i in range(M.m):
-        classes.setdefault(data[i * width:(i + 1) * width], []).append(i)
-    return sorted(classes.values(), key=lambda rows: rows[-1])
 
 
 def _option_table(steps: np.ndarray, radices: list[int], base) -> np.ndarray:
@@ -439,7 +425,7 @@ def best_rect_pair(M: BinaryMatrix,
         np.subtract(A, two_n, out=two_n)
         return two_p, two_n
 
-    best = _scan(M, _row_scores(M), _row_classes(M), doubled_parts)
+    best = _scan(M, _row_scores(M), _row_classes(M.entries), doubled_parts)
     return tuple(_rect_of_mask(M, sign, (val // 2, mask))
                  for sign, (val, mask) in zip("+-", best))
 
@@ -497,8 +483,8 @@ def best_half_rect(M: BinaryMatrix, sign: str,
         return (scores[top:].sum(axis=0, dtype=scores.dtype),)
 
     rows = _row_scores(M)
-    (best,) = _scan(M, rows if sign == "+" else -rows, _row_classes(M),
-                    largest, row_size)
+    (best,) = _scan(M, rows if sign == "+" else -rows,
+                    _row_classes(M.entries), largest, row_size)
     return _rect_of_mask(M, sign, best, col_size)
 
 
@@ -526,8 +512,8 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
 
     # the high halves start from -s([m]), so high is 2 s(high half) - s([m]);
     # the last class holds row m-1, which the smallest optimum leaves out
-    ((val, mask),) = _scan(M, 2 * rows, _row_classes(M)[:-1], signed_total,
-                           None, -rows.sum(axis=0))
+    ((val, mask),) = _scan(M, 2 * rows, _row_classes(M.entries)[:-1],
+                           signed_total, None, -rows.sum(axis=0))
     x = 2 * ((mask >> np.arange(M.m)) & 1) - 1
     y = np.where(_scores(M.int_entries(), M.ones, x) >= 0, 1, -1)
     return SignVectorPair(x=tuple(x.tolist()), y=tuple(y.tolist()),

@@ -15,6 +15,7 @@ import numpy as np
 
 from lowrankdisc import BinaryMatrix
 from lowrankdisc.oracle import Rectangle, SignVectorPair
+from lowrankdisc.rng import STREAM_ROUND, generator
 
 
 def _indicator_table(size: int) -> np.ndarray:
@@ -218,3 +219,59 @@ def largest_permutation_submatrix(E: np.ndarray) -> int:
                 if (S.sum(axis=0) == 1).all() and (S.sum(axis=1) == 1).all():
                     return k
     return 0
+
+
+def pivots_mod_p(E: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot rows and columns of GF(p) elimination, one rank-1 int64 update
+    of the whole trailing matrix per pivot (first nonzero entry of each
+    column below the pivots found so far)."""
+    A = (E.astype(np.int64)) % p
+    m, n = A.shape
+    perm = np.arange(m)
+    cols = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+            perm[[r, i]] = perm[[i, r]]
+        inv = pow(int(A[r, c]), p - 2, p)
+        if r + 1 < m:
+            factors = (A[r + 1:, c] * inv) % p
+            A[r + 1:, c + 1:] = (A[r + 1:, c + 1:]
+                                 - factors[:, None] * A[r, c + 1:]) % p
+            A[r + 1:, c] = 0
+        cols.append(c)
+        r += 1
+    return perm[:r], np.array(cols, dtype=np.int64)
+
+
+def trialwise_round_to_rect(M: BinaryMatrix, grams, trials: int, seed: int,
+                            stream: tuple[int, ...] = ()) -> Rectangle:
+    """Hyperplane rounding scored one trial and one quadrant at a time; the
+    first strictly smallest value below 0 wins, in (trial, quadrant) order."""
+    V, W = grams
+    m, n = M.shape
+    E = M.int_entries()
+    best_val, best = 0, Rectangle(X=(), Y=(), value=Fraction(0))
+    for t in range(trials):
+        g = generator(seed, STREAM_ROUND, *stream, t)
+        g = g.standard_normal(V.shape[1])
+        x_pos = (V @ g) >= 0
+        y_pos = (W @ g) >= 0
+        for xmask in (x_pos, ~x_pos):
+            for ymask in (y_pos, ~y_pos):
+                count = int(E[np.ix_(xmask, ymask)].sum())
+                size = int(xmask.sum()) * int(ymask.sum())
+                val = m * n * count - M.ones * size
+                if val < best_val:
+                    best_val = val
+                    best = Rectangle(X=tuple(np.flatnonzero(xmask).tolist()),
+                                     Y=tuple(np.flatnonzero(ymask).tolist()),
+                                     value=Fraction(val, m * n))
+    return best

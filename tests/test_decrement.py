@@ -17,10 +17,11 @@ from lowrankdisc import (BinaryMatrix, DecrementStalled, MonoResult,
                          witness, zero_submatrix_sparse)
 from lowrankdisc.config import DEFAULT
 from lowrankdisc.oracle import Rectangle
+from lowrankdisc.rng import STREAM_ROUND, generator
 from lowrankdisc.spectral import eigendecompose
 
 from conftest import random_corpus
-from naive import naive_best_half_rect
+from naive import naive_best_half_rect, trialwise_round_to_rect
 
 
 # -- gram_vectors -----------------------------------------------------------------
@@ -84,6 +85,33 @@ def test_round_deterministic():
     a = round_to_rect(I8, grams, trials=16, seed=5)
     b = round_to_rect(I8, grams, trials=16, seed=5)
     assert a == b
+
+
+def test_round_matches_trialwise_reference(corpus_8x8):
+    cases = [fixtures("identity(8)"), fixtures("all_zeros(6,6)"),
+             blow_up(random_dense(8, 8, "1/4", seed=3), 8, 8)]
+    cases += [M for M in corpus_8x8[:20]
+              if M.ones and M.avg_degree() <= Fraction(M.n, 2)]
+    for M in cases:
+        grams = gram_vectors(lower_bound_disc(M))
+        for seed in range(3):
+            expected = trialwise_round_to_rect(M, grams, 16, seed, (seed,))
+            assert round_to_rect(M, grams, 16, seed, (seed,)) == expected
+
+
+def test_round_ties_go_to_the_earliest_trial():
+    # every trial's best quadrants are the two off-diagonal blocks of
+    # identity(8), both of value -2; the sign of the first trial's g says
+    # which of them is its first quadrant
+    I8 = fixtures("identity(8)")
+    half = np.repeat([1.0, -1.0], 4)[:, None]
+    for seed in range(6):
+        g0 = generator(seed, STREAM_ROUND, 0).standard_normal(1)[0]
+        top = tuple(range(4)) if g0 >= 0 else tuple(range(4, 8))
+        bottom = tuple(sorted(set(range(8)) - set(top)))
+        r = round_to_rect(I8, (half, -half), trials=8, seed=seed)
+        assert (r.X, r.Y, r.value) == (top, bottom, -2)
+        assert r == trialwise_round_to_rect(I8, (half, -half), 8, seed)
 
 
 # -- adjust_to_half ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from lowrankdisc.matrix import _MODP, _pivots_mod_p
 
 from conftest import random_corpus
 from naive import (fraction_rank, largest_permutation_submatrix,
-                   minor_rank)
+                   minor_rank, pivots_mod_p)
 
 
 # -- construction and stats ----------------------------------------------------
@@ -91,6 +91,48 @@ def test_rank_mod_p_is_lower_bound():
     for M in random_corpus(20, 6, 6, seed=11):
         rows, cols = _pivots_mod_p(M.entries, _MODP)
         assert len(rows) == len(cols) <= rank(M)
+
+
+@st.composite
+def pivot_matrices(draw):
+    """0/1 matrices up to 64 x 64: random, blow-ups, permuted identities, and
+    near full rank (random with the last row a copy of the first)."""
+    m, n = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ["random", "blow_up", "identity", "near_full"]))
+    if kind == "random":
+        E = gen.random((m, n)) < gen.random()
+    elif kind == "blow_up":
+        k = draw(st.integers(1, 6))
+        base = gen.random((k, k)) < 0.5
+        E = base[np.ix_(gen.integers(0, k, m), gen.integers(0, k, n))]
+    elif kind == "identity":
+        E = np.eye(m, n, dtype=bool)[gen.permutation(m)]
+    else:
+        E = gen.random((m, n)) < 0.5
+        E[-1] = E[0]
+    return E.astype(np.uint8)
+
+
+@given(pivot_matrices(), st.sampled_from([2, 3, _MODP]))
+def test_pivots_match_per_pivot_elimination(E, p):
+    # delayed block updates are exact, so the pivots are those of one
+    # rank-1 update per pivot; blocks of 1 to 3 pending pivots flush in
+    # the middle of the matrix
+    expected = pivots_mod_p(E, p)
+    for pending in (1, 2, 3, matrix._PENDING):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix, "_PENDING", pending)
+            rows, cols = _pivots_mod_p(E, p)
+        assert np.array_equal(rows, expected[0])
+        assert np.array_equal(cols, expected[1])
+
+
+def test_pivots_refuse_a_modulus_past_float64():
+    # p + _PENDING * p^2 must stay below 2^53 for the block update
+    with pytest.raises(AssertionError, match="float64"):
+        _pivots_mod_p(np.eye(2, dtype=np.uint8), 10**7 + 19)
 
 
 @st.composite

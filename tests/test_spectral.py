@@ -12,7 +12,7 @@ from lowrankdisc import (BinaryMatrix, CertificateError, RegimeError, blow_up, d
                          fixtures, lower_bound_disc, random_dense, rank,
                          regular_blowup, symmetrize, truncate_high_degree,
                          witness)
-from lowrankdisc.config import DEFAULT
+from lowrankdisc.config import DEFAULT, Config
 from lowrankdisc.rng import generator
 
 from conftest import random_corpus
@@ -76,6 +76,18 @@ def test_eigen_descending_and_paired():
     assert S.pairing_error <= S.eig_tol
     assert S.residual <= S.eig_tol
     assert S.ortho_error <= S.eig_tol
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eig_tol_factor", math.nan), ("eig_tol_factor", math.inf),
+    ("oracle_limit", math.inf), ("rounding_trials", math.nan)])
+def test_config_rejects_nonfinite_overrides(field, value):
+    # eig_tol_factor = nan made eig_tol nan, so `residual > eig_tol` never
+    # fired and lower_bound_disc certified without any eigensolver check
+    with pytest.raises(ValueError, match="must be a positive"):
+        DEFAULT.with_overrides(**{field: value})
+    with pytest.raises(ValueError, match="must be a positive"):
+        Config(**{field: value})
 
 
 def test_eigenvector_pairing_relation():
