@@ -8,7 +8,7 @@ outputs are byte-identical across runs and platforms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -179,8 +179,7 @@ class GenSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError(f"generator spec must be an object with 'kind', "
                              f"got {obj!r}")
-        known = {"kind", "r", "p", "m", "n", "seed"}
-        extra = set(obj) - known
+        extra = set(obj) - {f.name for f in fields(cls) if f.init}
         if extra:
             raise ValueError(f"unknown generator fields {sorted(extra)}")
         return cls(kind=obj["kind"], r=obj.get("r"), p=obj.get("p"),

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these to process exit codes; see cli.EXIT_CODES.
+The CLI maps these to process exit codes; see the EXIT_* constants in cli.
 """
 
 

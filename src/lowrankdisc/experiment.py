@@ -13,10 +13,10 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .config import Config, check_overrides, runtime_config
+from .config import Config, runtime_config
 from .constructions import GenSpec
 from .decrement import find_mono
 from .errors import LowRankDiscError
@@ -40,6 +40,8 @@ class ExperimentConfig:
     trials: int | None = None
     eig_tol_factor: float | None = None
     timing: bool = True
+    # DEFAULT with the overrides above, built and checked once
+    cfg: Config = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.gens:
@@ -52,22 +54,20 @@ class ExperimentConfig:
             if op not in OPS:
                 raise ValueError(f"unknown op {op!r}; choose from {OPS}")
         # JSON values arrive unconverted: "false" must not count as true,
-        # and seed 1.9 must not run as seed 1 (check_overrides types the
-        # overrides)
+        # and seed 1.9 must not run as seed 1 (Config types the overrides)
         if (not isinstance(self.seeds, list)
                 or any(type(seed) is not int for seed in self.seeds)):
             raise ValueError(
                 f"seeds must be a list of integers, got {self.seeds!r}")
-        check_overrides(self.oracle_limit, self.trials, self.eig_tol_factor)
+        self.cfg = runtime_config(self.oracle_limit, self.trials,
+                                  self.eig_tol_factor)
         if type(self.timing) is not bool:
             raise ValueError(
                 f"timing must be true or false, got {self.timing!r}")
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
-        known = {"gens", "ops", "seeds", "output", "oracle_limit", "trials",
-                 "eig_tol_factor", "timing"}
-        extra = set(obj) - known
+        extra = set(obj) - {f.name for f in fields(cls) if f.init}
         if extra:
             raise ValueError(f"unknown config fields {sorted(extra)}")
         gens = [GenSpec.from_json_obj(g) for g in obj.get("gens", [])]
@@ -182,17 +182,15 @@ def worker_count(requested: int | None = None) -> int:
 
 def run_experiment(config: ExperimentConfig,
                    threads: int | None = None) -> list[ReportRow]:
-    cfg = runtime_config(config.oracle_limit, config.trials,
-                         config.eig_tol_factor)
     tasks = [(gen, seed) for gen in config.gens for seed in config.seeds]
     workers = worker_count(threads)
     if workers == 1:
-        bundles = [_run_bundle(g, s, config.ops, cfg, config.timing)
+        bundles = [_run_bundle(g, s, config.ops, config.cfg, config.timing)
                    for g, s in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             bundles = list(pool.map(
-                lambda t: _run_bundle(t[0], t[1], config.ops, cfg,
+                lambda t: _run_bundle(t[0], t[1], config.ops, config.cfg,
                                       config.timing), tasks))
     return [row for bundle in bundles for row in bundle]
 

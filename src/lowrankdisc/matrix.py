@@ -14,7 +14,6 @@ density-decrement loop) leans on these invariants:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -131,19 +130,6 @@ class BinaryMatrix:
                 raise MatrixParseError(f"row {i} contains characters outside 0/1")
             rows[i] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
         return cls(rows)
-
-
-@dataclass(frozen=True)
-class DensityStats:
-    """Exact density p, average degree d, and maximum degree."""
-
-    p: Fraction
-    d: Fraction
-    delta_max: int
-
-
-def density_stats(M: BinaryMatrix) -> DensityStats:
-    return DensityStats(p=M.density(), d=M.avg_degree(), delta_max=M.max_degree())
 
 
 # -- exact rank ---------------------------------------------------------------
@@ -378,9 +364,9 @@ class WeightedBinaryMatrix:
     """A base matrix plus positive row/column multiplicities.
 
     Represents the matrix in which row i appears row_mult[i] times and
-    column j appears col_mult[j] times, without materializing it.  All
-    density/degree statistics are exact and weighted; `materialize` builds
-    the dense blow-up only when it fits the capacity budget.
+    column j appears col_mult[j] times, without materializing it;
+    `materialize` builds the dense blow-up only when it fits the capacity
+    budget.
     """
 
     __slots__ = ("base", "row_mult", "col_mult")
@@ -410,24 +396,6 @@ class WeightedBinaryMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.eff_rows, self.eff_cols)
 
-    def ones(self) -> int:
-        E = self.base.int_entries()
-        return int(self.row_mult @ E @ self.col_mult)
-
-    def density(self) -> Fraction:
-        return Fraction(self.ones(), self.eff_rows * self.eff_cols)
-
-    def row_copy_degrees(self) -> np.ndarray:
-        """Degree of each copy of base row i (length m, int64)."""
-        return self.base.int_entries() @ self.col_mult
-
-    def col_copy_degrees(self) -> np.ndarray:
-        return self.row_mult @ self.base.int_entries()
-
-    def max_degree(self) -> int:
-        return max(int(self.row_copy_degrees().max()),
-                   int(self.col_copy_degrees().max()))
-
     def materialize(self, capacity: int = DEFAULT.dense_capacity) -> BinaryMatrix:
         if self.eff_rows * self.eff_cols > capacity:
             raise CapacityError(
@@ -450,13 +418,6 @@ class WeightedBinaryMatrix:
         return cls(M,
                    np.full(M.m, side // M.m, dtype=np.int64),
                    np.full(M.n, side // M.n, dtype=np.int64))
-
-    @classmethod
-    def full_blowup(cls, M: BinaryMatrix) -> "WeightedBinaryMatrix":
-        """Row i repeated n times, column j repeated m times ((mn)x(mn))."""
-        return cls(M,
-                   np.full(M.m, M.n, dtype=np.int64),
-                   np.full(M.n, M.m, dtype=np.int64))
 
     def __repr__(self):
         return (f"WeightedBinaryMatrix(base={self.base.m}x{self.base.n}, "

@@ -101,6 +101,7 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import CapacityError
 from .matrix import BinaryMatrix, _row_classes
+from .rng import STREAM_SEARCH, generator
 
 _CHUNK_BITS = 18
 _INT32_MAX_MN = 46340  # the largest mn with (mn)^2 < 2^31
@@ -450,11 +451,6 @@ def disc_minus(M: BinaryMatrix, cfg: Config = DEFAULT) -> Fraction:
     return -best_rect(M, "-", cfg).value
 
 
-def disc_max(M: BinaryMatrix, cfg: Config = DEFAULT) -> Fraction:
-    plus, minus = best_rect_pair(M, cfg)
-    return max(plus.value, -minus.value)
-
-
 def best_half_rect(M: BinaryMatrix, sign: str,
                    row_size: int | None = None, col_size: int | None = None,
                    cfg: Config = DEFAULT) -> Rectangle:
@@ -529,8 +525,6 @@ def heuristic_rect(M: BinaryMatrix, sign: str, seed: int = 0) -> Rectangle:
     descents start from all columns and from seven seeded random column
     sets.
     """
-    from .rng import STREAM_SEARCH, generator  # local import to avoid cycle
-
     _check_sign(sign)
     E = M.int_entries()
     gain = 1 if sign == "+" else -1

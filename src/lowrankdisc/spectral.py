@@ -1,10 +1,8 @@
-"""Symmetrization, eigendecomposition, and PSD discrepancy certificates.
+"""Eigendecomposition and PSD discrepancy certificates.
 
 For a square 0/1 matrix M, its symmetrization A is the (2n)x(2n) adjacency
 matrix of the corresponding bipartite graph.  The spectrum of A is symmetric
-about zero and is read off one SVD of M, without forming A; `symmetrize`
-and `disc_of_psd` build the dense objects only as reference helpers.  The
-PSD witness
+about zero and is read off one SVD of M, without forming A.  The PSD witness
 
     X = (1/Delta) * sum_{i<=n} lambda_i^2 v_i v_i^T
 
@@ -28,6 +26,7 @@ from .matrix import BinaryMatrix, rank as exact_rank
 from .oracle import Rectangle, disc_value
 
 
+# no caller in the package, but it stays: perfbench/tracer.py wraps it
 def symmetrize(M: BinaryMatrix) -> np.ndarray:
     """The (m+n)x(m+n) symmetric matrix [[0, M], [M^T, 0]] as float64."""
     m, n = M.shape
@@ -37,13 +36,6 @@ def symmetrize(M: BinaryMatrix) -> np.ndarray:
     return A
 
 
-def _sign_vector(m: int, n: int) -> np.ndarray:
-    """+1 on row vertices, -1 on column vertices."""
-    f = np.ones(m + n)
-    f[m:] = -1.0
-    return f
-
-
 @dataclass
 class SpectralData:
     """Validated spectrum of the symmetrization of a square matrix M.
@@ -51,8 +43,7 @@ class SpectralData:
     Holds the singular triples of M: U and V are orthonormal with
     M v_k = sigma_k u_k.  lambdas are descending and exactly paired,
     lambdas = (sigma, -sigma reversed), so lambdas[N-1-i] = -lambdas[i].
-    The eigenvectors of A = [[0, M], [M^T, 0]] are (u_k, +-v_k)/sqrt2;
-    `vectors` assembles them only on request.
+    The eigenvectors of A = [[0, M], [M^T, 0]] are (u_k, +-v_k)/sqrt2.
     """
 
     N: int
@@ -63,7 +54,6 @@ class SpectralData:
     U: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
     residual: float
-    pairing_error: float
     ortho_error: float
     eig_tol: float
     M: BinaryMatrix = field(repr=False)
@@ -71,18 +61,6 @@ class SpectralData:
     @property
     def density(self) -> Fraction:
         return Fraction(self.ones, self.m * self.n)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """N x N orthonormal eigenvectors of A, columns ordered as lambdas.
-
-        vectors[:, N-1-i] = f * vectors[:, i] with f = +1 on rows, -1 on
-        columns.
-        """
-        s = 1.0 / math.sqrt(2.0)
-        top = np.hstack([self.U, self.U[:, ::-1]])
-        bottom = np.hstack([self.V, -self.V[:, ::-1]])
-        return s * np.vstack([top, bottom])
 
 
 def eigendecompose(M: BinaryMatrix, eig_tol: float | None = None,
@@ -136,16 +114,14 @@ def eigendecompose(M: BinaryMatrix, eig_tol: float | None = None,
         gram = F.T @ F
         gram[np.diag_indices(n)] -= 1.0
         ortho_error = max(ortho_error, float(np.abs(gram, out=gram).max()))
-    pairing_error = float(np.abs(lambdas + lambdas[::-1]).max())
     if residual > eig_tol:
         raise EigenError(
             f"eigendecomposition residual {residual:.3e} exceeds "
             f"tolerance {eig_tol:.3e}", residual=residual)
-    if ortho_error > eig_tol or pairing_error > eig_tol:
+    if ortho_error > eig_tol:
         raise EigenError(
-            f"orthonormality/pairing error ({ortho_error:.3e}, "
-            f"{pairing_error:.3e}) exceeds tolerance {eig_tol:.3e}",
-            residual=residual)
+            f"orthonormality error {ortho_error:.3e} exceeds tolerance "
+            f"{eig_tol:.3e}", residual=residual)
 
     trace_gap = abs(2.0 * float((sigma ** 2).sum()) - 2.0 * M.ones)
     if trace_gap > N * eig_tol:
@@ -153,8 +129,8 @@ def eigendecompose(M: BinaryMatrix, eig_tol: float | None = None,
             f"eigenvalue trace defect {trace_gap:.3e} exceeds "
             f"{N} * {eig_tol:.3e}", residual=residual)
     return SpectralData(N=N, m=n, n=n, ones=M.ones, lambdas=lambdas, U=U,
-                        V=V, residual=residual, pairing_error=pairing_error,
-                        ortho_error=ortho_error, eig_tol=eig_tol, M=M)
+                        V=V, residual=residual, ortho_error=ortho_error,
+                        eig_tol=eig_tol, M=M)
 
 
 @dataclass
@@ -185,9 +161,6 @@ class DiscCertificate:
     def N(self) -> int:
         return 2 * self.n_side
 
-    def psd_matrix(self) -> np.ndarray:
-        return self.factor @ self.factor.T
-
     def to_json_obj(self) -> dict:
         return {
             "bound": self.bound,
@@ -210,47 +183,6 @@ def _disc_of_factor(M: BinaryMatrix, G: np.ndarray) -> float:
     inner_L = 0.5 * float((e_part ** 2).sum() - (f_part ** 2).sum())
     p = M.ones / (m * n)
     return inner_A - p * inner_L
-
-
-def disc_of_psd(M: BinaryMatrix, X: np.ndarray, cfg: Config = DEFAULT) -> float:
-    """disc_M(X) = <X, A> - p <X, L> for a symmetric PSD-shaped X.
-
-    X must be (m+n) x (m+n), symmetric, with diagonal at most 1 + diag_tol.
-    """
-    m, n = M.shape
-    N = m + n
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape != (N, N):
-        raise ValueError(f"witness must be {N}x{N}, got {X.shape}")
-    if float(np.abs(X - X.T).max()) > cfg.diag_tol:
-        raise ValueError("witness must be symmetric")
-    if float(X.diagonal().max()) > 1.0 + cfg.diag_tol:
-        raise CertificateError(
-            f"witness diagonal {float(X.diagonal().max()):.9f} exceeds "
-            f"1 + {cfg.diag_tol}")
-    E = M.entries.astype(np.float64)
-    inner_A = 2.0 * float((E * X[:m, m:]).sum())
-    e = X.sum()
-    f_vec = _sign_vector(m, n)
-    inner_L = 0.5 * float(e - f_vec @ X @ f_vec)
-    p = M.ones / (m * n)
-    return inner_A - p * inner_L
-
-
-def discX_bound(S: SpectralData, coeffs, p) -> float:
-    """Closed-form lower bound on disc(X) for eigenbasis-diagonal X.
-
-    With X = sum_i a_i v_i v_i^T (a_i >= 0):
-        disc(X) >= sum_i a_i lambda_i - (p N / 2) * max_i (a_i + a_{N+1-i}).
-    """
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.shape != (S.N,):
-        raise ValueError(f"need {S.N} coefficients, got shape {a.shape}")
-    if a.min(initial=0.0) < 0:
-        raise ValueError("coefficients must be nonnegative")
-    lead = float(a @ S.lambdas)
-    pair_max = float((a + a[::-1]).max())
-    return lead - float(p) * S.N / 2.0 * pair_max
 
 
 def witness(S: SpectralData, delta_max: int, matrix_hash: str = "",

@@ -3,17 +3,23 @@
 These deliberately avoid the production shortcuts: rectangle optima come
 from enumerating *all* (X, Y) pairs, the relaxation optimum from both sign
 vectors, and rank from Gaussian elimination over Fractions.  Everything is
-exact; values are integers scaled by m*n unless stated otherwise.
+exact; values are integers scaled by m*n unless stated otherwise.  The
+spectral references build the dense (m+n) x (m+n) objects that the package
+never forms: eigenvectors, witness matrices and the witness value
+disc_M(X) = <X, A> - p <X, L> (floats, not scaled).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from lowrankdisc import BinaryMatrix
+from lowrankdisc import (BinaryMatrix, CertificateError, DiscCertificate,
+                         SpectralData)
+from lowrankdisc.config import DEFAULT, Config
 from lowrankdisc.oracle import Rectangle, SignVectorPair
 from lowrankdisc.rng import STREAM_ROUND, generator
 
@@ -275,3 +281,69 @@ def trialwise_round_to_rect(M: BinaryMatrix, grams, trials: int, seed: int,
                                      Y=tuple(np.flatnonzero(ymask).tolist()),
                                      value=Fraction(val, m * n))
     return best
+
+
+def vectors(S: SpectralData) -> np.ndarray:
+    """N x N orthonormal eigenvectors of A = [[0, M], [M^T, 0]], columns
+    ordered as S.lambdas.
+
+    vectors(S)[:, N-1-i] = f * vectors(S)[:, i] with f = +1 on rows, -1 on
+    columns.
+    """
+    s = 1.0 / math.sqrt(2.0)
+    top = np.hstack([S.U, S.U[:, ::-1]])
+    bottom = np.hstack([S.V, -S.V[:, ::-1]])
+    return s * np.vstack([top, bottom])
+
+
+def psd_matrix(cert: DiscCertificate) -> np.ndarray:
+    """The dense witness X = factor @ factor.T of a certificate."""
+    return cert.factor @ cert.factor.T
+
+
+def _sign_vector(m: int, n: int) -> np.ndarray:
+    """+1 on row vertices, -1 on column vertices."""
+    f = np.ones(m + n)
+    f[m:] = -1.0
+    return f
+
+
+def disc_of_psd(M: BinaryMatrix, X: np.ndarray, cfg: Config = DEFAULT) -> float:
+    """disc_M(X) = <X, A> - p <X, L> for a symmetric PSD-shaped X.
+
+    X must be (m+n) x (m+n), symmetric, with diagonal at most 1 + diag_tol.
+    """
+    m, n = M.shape
+    N = m + n
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape != (N, N):
+        raise ValueError(f"witness must be {N}x{N}, got {X.shape}")
+    if float(np.abs(X - X.T).max()) > cfg.diag_tol:
+        raise ValueError("witness must be symmetric")
+    if float(X.diagonal().max()) > 1.0 + cfg.diag_tol:
+        raise CertificateError(
+            f"witness diagonal {float(X.diagonal().max()):.9f} exceeds "
+            f"1 + {cfg.diag_tol}")
+    E = M.entries.astype(np.float64)
+    inner_A = 2.0 * float((E * X[:m, m:]).sum())
+    e = X.sum()
+    f_vec = _sign_vector(m, n)
+    inner_L = 0.5 * float(e - f_vec @ X @ f_vec)
+    p = M.ones / (m * n)
+    return inner_A - p * inner_L
+
+
+def discX_bound(S: SpectralData, coeffs, p) -> float:
+    """Closed-form lower bound on disc(X) for eigenbasis-diagonal X.
+
+    With X = sum_i a_i v_i v_i^T (a_i >= 0):
+        disc(X) >= sum_i a_i lambda_i - (p N / 2) * max_i (a_i + a_{N+1-i}).
+    """
+    a = np.asarray(coeffs, dtype=np.float64)
+    if a.shape != (S.N,):
+        raise ValueError(f"need {S.N} coefficients, got shape {a.shape}")
+    if a.min(initial=0.0) < 0:
+        raise ValueError("coefficients must be nonnegative")
+    lead = float(a @ S.lambdas)
+    pair_max = float((a + a[::-1]).max())
+    return lead - float(p) * S.N / 2.0 * pair_max

@@ -453,3 +453,39 @@ def test_mono_tiny_inputs(tmp_path, capsys):
         assert code == 0
         last = json.loads(out.strip().split("\n")[-1])
         assert last["dims"][0] >= 1 and last["dims"][1] >= 1
+
+
+def _tracer_bindings():
+    """FUNCTION_BINDINGS and METHOD_BINDINGS of perfbench/tracer.py, read
+    as literals: nothing under perfbench/ is imported or written."""
+    import ast
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    values = {node.targets[0].id: node.value
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)}
+    return (ast.literal_eval(values["FUNCTION_BINDINGS"]),
+            ast.literal_eval(values["METHOD_BINDINGS"]))
+
+
+def test_traced_bindings_and_public_names_resolve():
+    # `perfbench/run.py --trace 1` wraps these names by getattr and fails
+    # if one is missing, so removing one from the package breaks it
+    import importlib
+
+    import lowrankdisc
+
+    functions, methods = _tracer_bindings()
+    assert functions and methods
+    for modname, attr, _ in functions:
+        value = getattr(importlib.import_module(modname), attr, None)
+        assert callable(value), f"{modname}.{attr}"
+    for modname, clsname, attr, _ in methods:
+        cls = getattr(importlib.import_module(modname), clsname)
+        assert attr in cls.__dict__, f"{clsname}.{attr}"
+    names = lowrankdisc.__all__
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(lowrankdisc, name)]
+    assert missing == []

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lowrankdisc import (BinaryMatrix, CapacityError, MatrixParseError,
-                         WeightedBinaryMatrix, blow_up, complement,
-                         density_stats, fixtures, random_dense, rank,
-                         submatrix)
+                         WeightedBinaryMatrix, blow_up, complement, fixtures,
+                         random_dense, rank, submatrix)
 from lowrankdisc import matrix
 from lowrankdisc.matrix import _MODP, _pivots_mod_p
 
@@ -22,26 +21,26 @@ from naive import (fraction_rank, largest_permutation_submatrix,
 # -- construction and stats ----------------------------------------------------
 
 def test_density_stats_all_ones():
-    st = density_stats(fixtures("all_ones(2,2)"))
-    assert st.p == 1 and st.d == 2 and st.delta_max == 2
+    M = fixtures("all_ones(2,2)")
+    assert M.density() == 1 and M.avg_degree() == 2 and M.max_degree() == 2
 
 
 def test_density_stats_all_zeros():
-    st = density_stats(fixtures("all_zeros(3,3)"))
-    assert st.p == 0 and st.d == 0 and st.delta_max == 0
+    M = fixtures("all_zeros(3,3)")
+    assert M.density() == 0 and M.avg_degree() == 0 and M.max_degree() == 0
 
 
 def test_density_stats_identity():
-    st = density_stats(fixtures("identity(4)"))
-    assert st.p == Fraction(1, 4) and st.d == 1 and st.delta_max == 1
+    M = fixtures("identity(4)")
+    assert M.density() == Fraction(1, 4)
+    assert M.avg_degree() == 1 and M.max_degree() == 1
 
 
 def test_density_stats_exact_rational():
     M = random_dense(5, 7, "1/3", seed=9)
-    st = density_stats(M)
-    assert st.p == Fraction(M.ones, 35)
-    assert st.d == Fraction(2 * M.ones, 12)
-    assert st.d <= st.delta_max <= max(M.m, M.n)
+    assert M.density() == Fraction(M.ones, 35)
+    assert M.avg_degree() == Fraction(2 * M.ones, 12)
+    assert M.avg_degree() <= M.max_degree() <= max(M.m, M.n)
 
 
 def test_entries_immutable():
@@ -337,12 +336,16 @@ def test_parse_rejects_bad_header():
 
 def test_weighted_matches_materialized():
     M = random_dense(3, 5, "1/2", seed=16)
-    W = WeightedBinaryMatrix(M, [2, 1, 3], [1, 2, 1, 1, 2])
+    rm, cm = np.array([2, 1, 3]), np.array([1, 2, 1, 1, 2])
+    W = WeightedBinaryMatrix(M, rm, cm)
     D = W.materialize()
-    assert W.shape == D.shape
-    assert W.ones() == D.ones
-    assert W.density() == D.density()
-    assert W.max_degree() == D.max_degree()
+    # the weighted counts of the base agree with the dense blow-up's
+    E = M.int_entries()
+    ones = int(rm @ E @ cm)
+    assert W.shape == D.shape == (rm.sum(), cm.sum())
+    assert D.ones == ones
+    assert D.density() == Fraction(ones, int(rm.sum() * cm.sum()))
+    assert D.max_degree() == max(int((E @ cm).max()), int((rm @ E).max()))
 
 
 def test_weighted_requires_positive_multiplicities():
@@ -355,13 +358,13 @@ def test_squared_side_is_lcm():
     M = random_dense(4, 6, "1/2", seed=17)
     W = WeightedBinaryMatrix.squared(M)
     assert W.shape == (12, 12)
-    assert W.density() == M.density()
     S = W.materialize()
+    assert S.density() == M.density()
     assert rank(S) == rank(M)
 
 
 def test_full_blowup_dims_and_density():
     M = random_dense(3, 4, "1/2", seed=18)
-    W = WeightedBinaryMatrix.full_blowup(M)
-    assert W.shape == (12, 12)
-    assert W.density() == M.density()
+    B = blow_up(M, M.n, M.m)
+    assert B.shape == (12, 12)
+    assert B.density() == M.density()

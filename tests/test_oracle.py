@@ -274,11 +274,9 @@ def test_heuristic_works_above_oracle_limit():
 def test_disc0_full_blowup_scaling():
     # (1/(mn)^2) disc0+ of the full row/column repetition equals
     # (1/(mn)) disc0+ of the base, exactly
-    from lowrankdisc import WeightedBinaryMatrix
-
     for seed in (0, 1, 2):
         M = random_dense(3, 4, "1/2", seed=seed)
-        big = WeightedBinaryMatrix.full_blowup(M).materialize()
+        big = blow_up(M, M.n, M.m)
         mn = M.m * M.n
         assert (Fraction(disc0_plus(big).value, mn * mn)
                 == Fraction(disc0_plus(M).value, mn))

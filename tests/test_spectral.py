@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lowrankdisc import (BinaryMatrix, CertificateError, RegimeError, blow_up, disc_of_psd,
-                         disc_plus, disc_value, discX_bound, eigendecompose,
-                         fixtures, lower_bound_disc, random_dense, rank,
-                         regular_blowup, symmetrize, truncate_high_degree,
-                         witness)
+from lowrankdisc import (BinaryMatrix, CertificateError, RegimeError, blow_up,
+                         disc_plus, disc_value, eigendecompose, fixtures,
+                         lower_bound_disc, random_dense, rank, regular_blowup,
+                         symmetrize, truncate_high_degree, witness)
 from lowrankdisc.config import DEFAULT, Config
 from lowrankdisc.rng import generator
 
 from conftest import random_corpus
+from naive import disc_of_psd, discX_bound, psd_matrix, vectors
 
 
 # -- symmetrize ------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_eigen_descending_and_paired():
     M = random_dense(7, 7, "2/5", seed=50)
     S = eigendecompose(M)
     assert all(S.lambdas[i] >= S.lambdas[i + 1] - 1e-12 for i in range(S.N - 1))
-    assert S.pairing_error <= S.eig_tol
+    assert np.array_equal(S.lambdas, -S.lambdas[::-1])
     assert S.residual <= S.eig_tol
     assert S.ortho_error <= S.eig_tol
 
@@ -96,9 +96,10 @@ def test_eigenvector_pairing_relation():
     S = eigendecompose(M)
     f = np.ones(S.N)
     f[S.m:] = -1.0
+    W = vectors(S)
     for i in range(S.N):
-        flipped = f * S.vectors[:, S.N - 1 - i]
-        assert abs(abs(float(flipped @ S.vectors[:, i])) - 1.0) <= 1e-9
+        flipped = f * W[:, S.N - 1 - i]
+        assert abs(abs(float(flipped @ W[:, i])) - 1.0) <= 1e-9
 
 
 def test_eigen_lambda1_between_avg_and_max_degree():
@@ -120,7 +121,7 @@ def test_eigen_deterministic():
     M = random_dense(6, 6, "1/2", seed=53)
     S1, S2 = eigendecompose(M), eigendecompose(M)
     assert np.array_equal(S1.lambdas, S2.lambdas)
-    assert np.array_equal(S1.vectors, S2.vectors)
+    assert np.array_equal(vectors(S1), vectors(S2))
 
 
 # -- witness -----------------------------------------------------------------------
@@ -169,7 +170,7 @@ def test_disc_of_psd_zero():
 def test_disc_of_psd_matches_witness_value():
     M = random_dense(6, 6, "1/2", seed=55)
     cert = witness(eigendecompose(M), M.max_degree())
-    direct = disc_of_psd(M, cert.psd_matrix())
+    direct = disc_of_psd(M, psd_matrix(cert))
     assert abs(direct - cert.disc_value) < 1e-8
 
 
@@ -179,7 +180,8 @@ def test_disc_of_psd_eigenbasis_inner_product():
     S = eigendecompose(M)
     gen = generator(57, 99)
     a = gen.random(S.N)
-    X = (S.vectors * a[None, :]) @ S.vectors.T
+    W = vectors(S)
+    X = (W * a[None, :]) @ W.T
     inner_A = float((symmetrize(M) * X).sum())
     assert abs(inner_A - float(a @ S.lambdas)) < 1e-9
 
@@ -231,7 +233,8 @@ def test_discX_bound_below_disc_of_psd():
         S = eigendecompose(M)
         gen = generator(seed, 98)
         a = gen.random(S.N) * 0.1
-        X = (S.vectors * a[None, :]) @ S.vectors.T
+        W = vectors(S)
+        X = (W * a[None, :]) @ W.T
         # rescale so the diagonal stays below 1
         scale = max(float(X.diagonal().max()), 1e-9)
         if scale > 1:
@@ -320,7 +323,7 @@ def test_lower_bound_is_true_psd_value():
     # disc_value must be reproducible by direct evaluation of the witness
     M = random_dense(10, 10, "1/3", seed=63)
     cert = lower_bound_disc(M)
-    direct = disc_of_psd(M, cert.psd_matrix())
+    direct = disc_of_psd(M, psd_matrix(cert))
     assert abs(direct - cert.disc_value) < 1e-8
 
 
@@ -356,7 +359,7 @@ def test_truncated_witness_path_with_lowered_threshold():
     assert cert.kind == "spectral"
     assert cert.bound > 0
     assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
-    assert abs(disc_of_psd(M, cert.psd_matrix()) - cert.disc_value) < 1e-7
+    assert abs(disc_of_psd(M, psd_matrix(cert)) - cert.disc_value) < 1e-7
 
 
 def test_truncated_witness_path_default_threshold():
