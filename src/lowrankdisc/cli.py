@@ -166,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a JSON experiment config")
     p_exp.add_argument("config")
     p_exp.add_argument("--out", help="CSV output path (default: config or stdout)")
-    p_exp.add_argument("--threads", type=int,
-                       help="worker pool size (capped by LOWRANKDISC_THREADS)")
+    p_exp.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default 1)")
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 

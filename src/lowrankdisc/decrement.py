@@ -3,10 +3,12 @@
 The pipeline: while the current square matrix is denser than 1/(8r), find a
 half-by-half submatrix of strictly smaller density (exact enumeration when
 affordable, otherwise spectral certificate -> Gram vectors -> hyperplane
-rounding -> half-size adjustment, with a local-search fallback); once the
-density drops below 1/(8r), a greedy dichotomy either extracts an all-zero
-quarter block or exhibits a permutation submatrix larger than the rank,
-which is impossible when the rank bound is genuine.
+rounding -> half-size adjustment, falling back to a local search from the
+adjusted rectangle: the alternating best-response search of `oracle` that
+`disc --heuristic` runs too, here at half sizes); once the density drops
+below 1/(8r), a greedy dichotomy either extracts an all-zero quarter block
+or exhibits a permutation submatrix larger than the rank, which is
+impossible when the rank bound is genuine.
 
 All randomness is derived from one seed through counter-based streams, so
 traces are reproducible across runs and worker counts.
@@ -23,8 +25,11 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import CapacityError, CertificateError, DecrementStalled, RankWitnessError
 from .matrix import BinaryMatrix, WeightedBinaryMatrix, complement, rank, submatrix
+# bound under its own name, which perfbench/tracer.py wraps as the
+# decrement's local-search span
+from .oracle import _best_response_search as _half_local_search
 from .oracle import Rectangle, _half_sizes, _respond, _scores, best_half_rect
-from .rng import STREAM_ROUND, STREAM_SEARCH, generator
+from .rng import STREAM_ROUND, generator
 from .spectral import DiscCertificate, lower_bound_disc
 
 
@@ -135,70 +140,6 @@ def adjust_to_half(M: BinaryMatrix, R: Rectangle,
                      value=Fraction(int(col_marg[ymask].sum()), m * n))
 
 
-# -- local search ---------------------------------------------------------------
-
-def _half_local_search(M: BinaryMatrix, start: Rectangle, row_size: int,
-                       col_size: int, seed: int, stream: tuple[int, ...],
-                       budget: int) -> Rectangle:
-    """Alternating best-response descent with seeded random restarts.
-
-    One descent round replaces X by the exact best row set of size row_size
-    for the current Y (a batch of optimal swaps) and then Y likewise; the
-    value never increases and the round costs O(mn).  Restarts perturb the
-    best known rectangle.  The swap budget caps total work.
-    """
-    m, n = M.shape
-    E = M.int_entries()
-
-    def respond(ymask):
-        xmask = _respond(_scores(E.T, M.ones, ymask), "-", row_size)
-        col = _scores(E, M.ones, xmask)
-        ymask = _respond(col, "-", col_size)
-        return int(col[ymask].sum()), xmask, ymask
-
-    def descend(ymask, budget_left):
-        val, xmask, ymask = respond(ymask)
-        budget_left -= m + n
-        while budget_left > 0:
-            v2, x2, y2 = respond(ymask)
-            budget_left -= m + n
-            if v2 >= val:
-                break
-            xmask, ymask, val = x2, y2, v2
-        return val, xmask, ymask, budget_left
-
-    if start.Y:
-        ymask0 = np.zeros(n, dtype=bool)
-        ymask0[list(start.Y)] = True
-    else:
-        ymask0 = _respond(M.col_deg, "-", col_size)
-
-    best_val, best_x, best_y, budget = descend(ymask0, budget)
-
-    restart = 0
-    while budget > 0:
-        gen = generator(seed, STREAM_SEARCH, *stream, restart)
-        flips = gen.integers(0, n, size=max(2, n // 8))
-        ymask = best_y.copy()
-        ymask[flips] = ~ymask[flips]
-        # repair size after the perturbation
-        diff = int(ymask.sum()) - col_size
-        if diff > 0:
-            on = np.nonzero(ymask)[0]
-            ymask[gen.choice(on, size=diff, replace=False)] = False
-        elif diff < 0:
-            off = np.nonzero(~ymask)[0]
-            ymask[gen.choice(off, size=-diff, replace=False)] = True
-        val, xm, ym, budget = descend(ymask, budget)
-        if val < best_val:
-            best_val, best_x, best_y = val, xm, ym
-        restart += 1
-
-    return Rectangle(X=tuple(int(i) for i in np.nonzero(best_x)[0]),
-                     Y=tuple(int(j) for j in np.nonzero(best_y)[0]),
-                     value=Fraction(best_val, m * n))
-
-
 # -- one decrement step ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -221,9 +162,10 @@ def decrement_step(M: BinaryMatrix, r: int | None = None, seed: int = 0,
 
     Strategy ladder, first success wins: exact half-rectangle oracle when
     the side is within the oracle limit; spectral certificate -> Gram
-    rounding -> half-size adjustment; alternating local search from the
-    best candidate.  Raises DecrementStalled (carrying the best candidate)
-    if no strictly negative half-rectangle is found within budget.
+    rounding -> half-size adjustment; the best-response search at half
+    sizes from the adjusted rectangle.  Raises DecrementStalled (carrying
+    the best candidate) if no strictly negative half-rectangle is found
+    within budget.
     """
     if M.m != M.n:
         raise ValueError("decrement_step expects a square matrix")
@@ -259,12 +201,11 @@ def decrement_step(M: BinaryMatrix, r: int | None = None, seed: int = 0,
     if rect.value < 0:
         return finish(rect, "rounding")
 
-    budget = cfg.local_budget_factor * n
-    rect2 = _half_local_search(M, rect, target, target, seed,
-                               (step_index,), budget)
-    if rect2.value < 0:
-        return finish(rect2, "local_search")
-    best = rect2 if rect2.value <= rect.value else rect
+    # never worse than rect, which has the half sizes
+    best = _half_local_search(M, "-", target, target, rect, seed,
+                              (step_index,), cfg)
+    if best.value < 0:
+        return finish(best, "local_search")
     raise DecrementStalled(
         f"no strictly density-decreasing half-rectangle found at n={n} "
         f"within budget", best=best)

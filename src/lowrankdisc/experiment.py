@@ -10,7 +10,6 @@ the config to zero that column when byte-identical reports are required.
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -172,23 +171,22 @@ def round_ms(start: float) -> int:
     return int(round((time.perf_counter() - start) * 1000.0))
 
 
-def worker_count(requested: int | None = None) -> int:
-    cap = os.environ.get("LOWRANKDISC_THREADS")
-    count = requested if requested is not None else (os.cpu_count() or 1)
-    if cap is not None:
-        count = min(count, max(1, int(cap)))
-    return max(1, count)
-
-
 def run_experiment(config: ExperimentConfig,
-                   threads: int | None = None) -> list[ReportRow]:
+                   threads: int = 1) -> list[ReportRow]:
+    """The report rows of every (generator, seed) bundle, in config order.
+
+    threads > 1 runs the bundles on a pool of that many threads; the rows
+    do not depend on it.  Raises ValueError for a count below 1.
+    """
+    if type(threads) is not int or threads < 1:
+        raise ValueError(
+            f"threads must be a positive integer, got {threads!r}")
     tasks = [(gen, seed) for gen in config.gens for seed in config.seeds]
-    workers = worker_count(threads)
-    if workers == 1:
+    if threads == 1:
         bundles = [_run_bundle(g, s, config.ops, config.cfg, config.timing)
                    for g, s in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             bundles = list(pool.map(
                 lambda t: _run_bundle(t[0], t[1], config.ops, config.cfg,
                                       config.timing), tasks))

@@ -166,10 +166,12 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """x minus the multiple of p nearest to it, in place: zero iff p
     divides x, and strictly between -p and p otherwise.
 
-    x holds integers below p + _PENDING * p^2 < 2^53 in absolute value, so
-    x / p is below 2^31 and its float64 value is off by less than 2^-21:
-    the rounded quotient is off by at most one from the nearest, and the
-    result, at most p/2 + p * 2^-21 in absolute value, is exact.
+    Needs integers with |x| < 2^53, which float64 holds exactly, and
+    |x| / p < 2^31, so that the float64 quotient is off by less than 2^-21
+    and the rounded one by at most one from the nearest: the result, at
+    most p/2 + p * 2^-21 in absolute value, is exact.  For p < 2^20 it is
+    the balanced residue, at most p/2 in absolute value: x / p is then a
+    half-integer or at least 1/(2p) > 2^-21 away from one.
     """
     q = x * (1.0 / p)
     np.rint(q, out=q)
@@ -232,21 +234,25 @@ def _inverse_mod_p(B: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p of a float64 matrix whose leading principal minors are
     all nonzero mod p, by 2 x 2 block elimination (no pivoting needed).
 
-    Entries stay in [0, p); every product is an exact float64 matmul while
-    side * p^2 < 2^53.
+    B and every block are balanced residues (`_reduce`), at most p/2 in
+    absolute value, so a product sums at most side * p^2/4, and p/2 more
+    where a block is added to it: within what `_reduce` needs.
     """
     r = len(B)
+    bound = r * p * p / 4 + p / 2
+    assert p < 2 ** 20 and bound < min(2 ** 53, p * 2 ** 31), \
+        "modulus too large for float64"
     if r <= 1:
-        return np.array([pow(int(b), p - 2, p) for b in B.flat],
-                        dtype=np.float64).reshape(B.shape)
+        return _reduce(np.array([pow(int(b), -1, p) for b in B.flat],
+                                dtype=np.float64).reshape(B.shape), p)
     h = r // 2
     Ai = _inverse_mod_p(B[:h, :h], p)
-    T = np.mod(Ai @ B[:h, h:], p)
-    Si = _inverse_mod_p(np.mod(B[h:, h:] - B[h:, :h] @ T, p), p)
-    X21 = np.mod(-np.mod(Si @ B[h:, :h], p) @ Ai, p)
+    T = _reduce(Ai @ B[:h, h:], p)
+    Si = _inverse_mod_p(_reduce(B[h:, h:] - B[h:, :h] @ T, p), p)
+    X21 = _reduce(-_reduce(Si @ B[h:, :h], p) @ Ai, p)
     out = np.empty_like(B)
-    out[:h, :h] = np.mod(Ai - T @ X21, p)
-    out[:h, h:] = np.mod(-T @ Si, p)
+    out[:h, :h] = _reduce(Ai - T @ X21, p)
+    out[:h, h:] = _reduce(-T @ Si, p)
     out[h:, :h] = X21
     out[h:, h:] = Si
     return out
@@ -267,9 +273,13 @@ def _schur_vanishes(E: np.ndarray, R: np.ndarray, C: np.ndarray,
     divided a nonzero minor: the GF(p) rank was too small.
     """
     r = len(R)
-    # |rhs|, |W| <= r + 1 throughout, so the lift's sums stay under r(r+1)p
-    # and the inverse's under r p^2: every matmul is exact in float64
-    assert r * max(r + 1, p) * p < 2 ** 53, "modulus too large for float64"
+    # digits of X are balanced residues, at most p/2 in absolute value
+    # (`_reduce`), so a step takes a bound c on |rhs| and |W| to c/p + r/2,
+    # and c = r holds throughout; every sum (Bi @ rhs, rhs - B @ X,
+    # W - A @ X) is then at most r(r+1)p/2, within what `_reduce` needs
+    bound = r * (r + 1) * p / 2
+    assert p < 2 ** 20 and bound < min(2 ** 53, p * 2 ** 31), \
+        "modulus too large for float64"
     Rc = np.delete(np.arange(E.shape[0]), R)
     Cc = np.delete(np.arange(E.shape[1]), C)
     B = E[np.ix_(R, C)].astype(np.float64)
@@ -281,7 +291,7 @@ def _schur_vanishes(E: np.ndarray, R: np.ndarray, C: np.ndarray,
     while pk_sq <= hadamard_sq:
         if not rhs.any():
             return not W.any()
-        X = np.mod(Bi @ rhs, p)
+        X = _reduce(Bi @ rhs, p)
         rhs = (rhs - B @ X) / p
         W -= A @ X
         Q = np.rint(W / p)  # exact quotient iff p divides every entry

@@ -87,6 +87,12 @@ The relaxation oracle disc0_plus scans half the sign vectors: (x, y) and
 optimal too, and of the two exactly one leaves row m-1 out.  The smallest
 optimal row set does, so the class holding row m-1 (the last class) is
 left out of the scan.
+
+Past the oracle limit there is one search, `_best_response_search`:
+alternating best response on the same column scores, with seeded random
+restarts under one swap budget.  `heuristic_rect` (`disc --heuristic`)
+runs it over all rectangles, and the density decrement's local-search
+fallback over half-by-half ones.
 """
 
 from __future__ import annotations
@@ -106,7 +112,6 @@ from .rng import STREAM_SEARCH, generator
 _CHUNK_BITS = 18
 _INT32_MAX_MN = 46340  # the largest mn with (mn)^2 < 2^31
 _MASK_BITS = 63  # row masks are int64
-_RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -194,6 +199,58 @@ def _respond(scores: np.ndarray, sign: str, size: int | None = None) -> np.ndarr
     mask = np.zeros(len(scores), dtype=bool)
     mask[order[:size]] = True
     return mask
+
+
+def _best_response_search(M: BinaryMatrix, sign: str,
+                          row_size: int | None = None,
+                          col_size: int | None = None,
+                          start: Rectangle | None = None, seed: int = 0,
+                          stream: tuple[int, ...] = (),
+                          cfg: Config = DEFAULT) -> Rectangle:
+    """Alternating best response for a large (sign '+') or small (sign '-')
+    disc(X, Y), over |X| = row_size and |Y| = col_size when they are given
+    and over all rectangles when they are None.
+
+    A round replaces X by the best response to Y and then Y by the best
+    response to X (`_respond`), so its value is at least as good as that
+    of any X' x Y of the given sizes.  A descent runs rounds until one
+    does not strictly improve the value.  The first descent starts from
+    the columns of start (all columns without one), every later one from
+    a fresh random column set, generator(seed, STREAM_SEARCH, *stream,
+    restart), until cfg.local_budget_factor * max(m, n) swaps are spent
+    at m + n a round.  Returns the best rectangle seen, the earliest on a
+    tie: never worse than a start of the given sizes.  Not an oracle: the
+    value is exact for the rectangle but not certified optimal.
+    """
+    _check_sign(sign)
+    E = M.int_entries()
+    gain = 1 if sign == "+" else -1
+    budget = cfg.local_budget_factor * max(M.shape)
+    ymask = np.ones(M.n, dtype=bool)
+    if start is not None:
+        ymask = np.isin(np.arange(M.n), start.Y)
+    best = descent = None  # best: (gain * value, X mask, Y mask)
+    restart = 0
+    while budget > 0:
+        budget -= M.m + M.n
+        xmask = _respond(_scores(E.T, M.ones, ymask), sign, row_size)
+        col = _scores(E, M.ones, xmask)
+        ymask = _respond(col, sign, col_size)
+        value = gain * int(col[ymask].sum())
+        if best is None or value > best[0]:
+            best = (value, xmask, ymask)
+        if descent is None or value > descent:
+            descent = value
+            continue
+        # the descent has ended; the next starts from fresh random columns
+        descent = None
+        ymask = generator(seed, STREAM_SEARCH, *stream,
+                          restart).random(M.n) < 0.5
+        restart += 1
+    value, xmask, ymask = best
+    return Rectangle(X=tuple(np.flatnonzero(xmask).tolist()),
+                     Y=tuple(np.flatnonzero(ymask).tolist()),
+                     value=Fraction(gain * value, M.m * M.n))
 
 
 def _half_sizes(M: BinaryMatrix, row_size: int | None,
@@ -517,41 +574,12 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
 
 
 def heuristic_rect(M: BinaryMatrix, sign: str, seed: int = 0) -> Rectangle:
-    """Alternating best-response search for a large-|disc| rectangle.
+    """Best-response search for a large-|disc| rectangle at any size.
 
     Not an oracle: the returned value is an exact disc value for the
     returned rectangle, hence a valid one-sided bound, but it is not
-    certified optimal.  Works at any size.  Deterministic given seed: the
-    descents start from all columns and from seven seeded random column
-    sets.
+    certified optimal.  Deterministic given seed: `_best_response_search`
+    without sizes, from all columns and then from seeded random column
+    sets until its swap budget is spent.
     """
-    _check_sign(sign)
-    E = M.int_entries()
-    gain = 1 if sign == "+" else -1
-
-    def descend(ymask: np.ndarray):
-        val = 0
-        for _ in range(64):
-            xmask = _respond(_scores(E.T, M.ones, ymask), sign)
-            col = _scores(E, M.ones, xmask)
-            ymask = _respond(col, sign)
-            new = int(col[ymask].sum())
-            if new == val:
-                break
-            val = new
-        return val, xmask, ymask
-
-    starts = [np.ones(M.n, dtype=bool)]
-    gen = generator(seed, STREAM_SEARCH)
-    for _ in range(_RESTARTS - 1):
-        starts.append(gen.random(M.n) < 0.5)
-
-    best = (0, np.zeros(M.m, dtype=bool), np.zeros(M.n, dtype=bool))
-    for ymask in starts:
-        val, xm, ym = descend(ymask)
-        if gain * val > gain * best[0]:
-            best = (val, xm, ym)
-    val, xm, ym = best
-    X = tuple(int(i) for i in np.nonzero(xm)[0])
-    Y = tuple(int(j) for j in np.nonzero(ym)[0])
-    return Rectangle(X=X, Y=Y, value=Fraction(val, M.m * M.n))
+    return _best_response_search(M, sign, seed=seed)

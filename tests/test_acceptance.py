@@ -276,12 +276,10 @@ def test_criterion_12_determinism(tmp_path):
     cfile.write_text(json.dumps(config))
 
     def run_experiment_cli(threads: str) -> bytes:
-        env = dict(env_base)
-        env["LOWRANKDISC_THREADS"] = threads
         proc = subprocess.run(
             [sys.executable, "-m", "lowrankdisc.cli", "experiment",
-             str(cfile)],
-            capture_output=True, env=env, check=True)
+             str(cfile), "--threads", threads],
+            capture_output=True, env=env_base, check=True)
         return proc.stdout
 
     rep_1a = run_experiment_cli("1")

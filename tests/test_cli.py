@@ -281,6 +281,16 @@ def test_experiment_rejects_mistyped_fields(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_experiment_rejects_thread_counts_below_one(tmp_path, capsys, value):
+    # these used to run one worker silently
+    path = exp_config(tmp_path)
+    code, out, err = run_cli(["experiment", path, f"--threads={value}"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: threads") and value in err
+
+
 def test_experiment_accepts_typed_fields(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"gens": [{"kind": "identity", "n": 4}],

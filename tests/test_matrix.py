@@ -11,7 +11,7 @@ from lowrankdisc import (BinaryMatrix, CapacityError, MatrixParseError,
                          WeightedBinaryMatrix, blow_up, complement, fixtures,
                          random_dense, rank, submatrix)
 from lowrankdisc import matrix
-from lowrankdisc.matrix import _MODP, _pivots_mod_p
+from lowrankdisc.matrix import _MODP, _pivots_mod_p, _schur_vanishes
 
 from conftest import random_corpus
 from naive import (fraction_rank, largest_permutation_submatrix,
@@ -201,6 +201,32 @@ def test_rank_certified_with_duplicated_rows_and_columns():
     assert rank(BinaryMatrix(N[np.ix_(rows, cols)])) == k
     wide = np.hstack([N, (gen.random((k, s)) < 0.5).astype(np.uint8)])
     assert rank(BinaryMatrix(wide[np.ix_(rows, gen.permutation(k + s))])) == k
+
+
+@st.composite
+def near_full_rank(draw):
+    """A random 0/1 square matrix up to 24 x 24 in which one row, or one
+    column, is the sum of two others with disjoint supports: rank below
+    full, usually with no row or column repeated."""
+    n = draw(st.integers(3, 24))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    E = (gen.random((n, n)) < 0.5).astype(np.uint8)
+    i, j, k = gen.permutation(n)[:3]
+    E[j] &= 1 - E[i]
+    E[k] = E[i] + E[j]
+    return E.T if draw(st.booleans()) else E
+
+
+@given(near_full_rank())
+def test_rank_near_full_with_a_row_or_column_relation(E):
+    # below full rank the p-adic lift decides: for small primes the GF(p)
+    # rank often falls short, and the lift must reject it then and accept
+    # it whenever it is the rational rank
+    expected = fraction_rank(BinaryMatrix(E))
+    for p in (3, 5, _MODP):
+        R, C = _pivots_mod_p(E, p)
+        assert _schur_vanishes(E, R, C, p) == (len(R) == expected)
+    assert rank(BinaryMatrix(E)) == expected
 
 
 # -- blow_up ---------------------------------------------------------------------

@@ -254,6 +254,8 @@ def test_disc0_sandwich(corpus_mixed):
 
 def test_heuristic_is_valid_lower_bound():
     for M in random_corpus(10, 8, 8, seed=31):
+        X, Y = tuple(range((M.m + 1) // 2)), tuple(range(0, M.n, 2))
+        start = Rectangle(X=X, Y=Y, value=disc_value(M, X, Y))
         for sign in "+-":
             r = heuristic_rect(M, sign, seed=1)
             assert r.verify(M)
@@ -262,6 +264,21 @@ def test_heuristic_is_valid_lower_bound():
                 assert 0 <= r.value <= exact.value
             else:
                 assert exact.value <= r.value <= 0
+            # the search behind it, unsized and at the start's sizes (the
+            # decrement's fallback): sizes kept, never worse than the start
+            # or better than the optimum, one rectangle per seed
+            gain = 1 if sign == "+" else -1
+            for sizes, best in (((None, None), exact),
+                                (start.shape,
+                                 best_half_rect(M, sign, *start.shape))):
+                found = oracle._best_response_search(
+                    M, sign, *sizes, start, seed=2, stream=(4,))
+                assert found.verify(M)
+                assert sizes == (None, None) or found.shape == sizes
+                assert gain * start.value <= gain * found.value
+                assert gain * found.value <= gain * best.value
+                assert found == oracle._best_response_search(
+                    M, sign, *sizes, start, seed=2, stream=(4,))
 
 
 def test_heuristic_works_above_oracle_limit():

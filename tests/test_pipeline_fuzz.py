@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lowrankdisc import (BinaryMatrix, CapacityError, best_half_rect,
-                         blow_up, complement, decrement_step, find_mono,
-                         random_dense, rank, submatrix)
+from lowrankdisc import (BinaryMatrix, CapacityError, Rectangle,
+                         best_half_rect, blow_up, complement, decrement_step,
+                         find_mono, random_dense, rank, submatrix)
 from lowrankdisc.config import DEFAULT
+from lowrankdisc.decrement import _half_local_search
 from lowrankdisc.rng import generator
 
 
@@ -22,6 +23,11 @@ def test_heuristic_ladder_vs_exact_oracle():
         n = int(gen.integers(6, 11)) * 2
         p = float(gen.uniform(0.1, 0.5))
         M = BinaryMatrix((gen.random((n, n)) < p).astype(np.uint8))
+        # the local-search fallback alone, from the full rectangle
+        full = Rectangle(X=tuple(range(n)), Y=tuple(range(n)),
+                         value=Fraction(0))
+        assert _half_local_search(M, "-", n // 2, n // 2, full, 3, (0,),
+                                  forced).value < 0
         r = rank(M)
         pd = M.density()
         if not Fraction(1, 8 * r) <= pd <= Fraction(1, 2):
