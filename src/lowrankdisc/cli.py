@@ -94,7 +94,7 @@ def cmd_bound(args) -> int:
     cfg = runtime_config(eig_tol_factor=args.tol_eig)
     M = _load_matrix(args)
     if M.m != M.n:
-        M = WeightedBinaryMatrix.squared(M).materialize(cfg.dense_capacity)
+        M = WeightedBinaryMatrix.squared(M).materialize()
     cert = lower_bound_disc(M, cfg=cfg)
     print(json.dumps(cert.to_json_obj(), indent=2, sort_keys=True))
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Tunable constants: tolerances, enumeration limits, case-split thresholds."""
+"""The three user-settable limits, and the package's fixed numeric constants."""
 
 from __future__ import annotations
 
@@ -6,34 +6,40 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+# eigensolver acceptance: absolute floor under eig_tol_factor * ||A||_F.
+EIG_TOL_FLOOR = 1e-13
+# PSD witnesses: diagonal entries may exceed 1 by at most DIAG_TOL.
+DIAG_TOL = 1e-8
+# generic numeric slack for certificate inequalities, scaled by value.
+NUM_TOL_BASE = 1e-7
+# dense matrices are refused above this many entries (4096 x 4096).
+DENSE_CAPACITY = 1 << 24
+# local search: total pair-swap budget is this factor times n.
+LOCAL_BUDGET_FACTOR = 50
+# degree-truncation threshold delta (rows/cols above (1+delta)*d go).
+TRUNCATE_DELTA = Fraction(1, 100)
+# strip-vs-witness case split fires when t_r + t_c >= STRIP_FRAC * D.
+STRIP_FRAC = 0.01
+# Grothendieck constant upper bound used in sandwich sanity checks.
+GROTHENDIECK_K = 1.7823
+
+
+def num_tol(value: float) -> float:
+    return NUM_TOL_BASE * (1.0 + abs(value))
+
 
 @dataclass(frozen=True)
 class Config:
     # eigensolver acceptance: residual and orthonormality error must be
-    # below eig_tol_factor * ||A||_F (with a small absolute floor).
+    # below eig_tol_factor * ||A||_F (at least EIG_TOL_FLOOR).
     eig_tol_factor: float = 1e-10
-    eig_tol_floor: float = 1e-13
-    # PSD witnesses: diagonal entries may exceed 1 by at most diag_tol.
-    diag_tol: float = 1e-8
-    # generic numeric slack for certificate inequalities, scaled by value.
-    num_tol_base: float = 1e-7
     # exact subset enumeration is refused above this many rows.
     oracle_limit: int = 26
-    # dense matrices are refused above this many entries (4096 x 4096).
-    dense_capacity: int = 1 << 24
     # hyperplane-rounding trials per certificate.
     rounding_trials: int = 64
-    # local search: total pair-swap budget is this factor times n.
-    local_budget_factor: int = 50
-    # degree-truncation threshold delta (rows/cols above (1+delta)*d go).
-    truncate_delta: Fraction = Fraction(1, 100)
-    # strip-vs-witness case split fires when t_r + t_c >= strip_frac * D.
-    strip_frac: float = 0.01
-    # Grothendieck constant upper bound used in sandwich sanity tests.
-    grothendieck_k: float = 1.7823
 
     def __post_init__(self):
-        """Raise ValueError for a user-settable value out of range.
+        """Raise ValueError for a value out of range.
 
         oracle_limit and rounding_trials must be positive integers (the
         error calls rounding_trials `trials`, as the CLI and experiment
@@ -52,9 +58,6 @@ class Config:
             raise ValueError(
                 f"eig_tol_factor must be a positive finite number, "
                 f"got {tol!r}")
-
-    def num_tol(self, value: float) -> float:
-        return self.num_tol_base * (1.0 + abs(value))
 
     def with_overrides(self, **kwargs) -> "Config":
         return replace(self, **kwargs)

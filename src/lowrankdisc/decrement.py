@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT, Config
+from .config import DEFAULT, DIAG_TOL, Config
 from .errors import CapacityError, CertificateError, DecrementStalled, RankWitnessError
 from .matrix import BinaryMatrix, WeightedBinaryMatrix, complement, rank, submatrix
 # bound under its own name, which perfbench/tracer.py wraps as the
@@ -35,16 +35,16 @@ from .spectral import DiscCertificate, lower_bound_disc
 
 # -- Gram vectors and rounding -------------------------------------------------
 
-def gram_vectors(C: DiscCertificate, cfg: Config = DEFAULT):
+def gram_vectors(C: DiscCertificate):
     """Unit-ball vectors whose Gram matrix is the witness X.
 
     Returns (row_vectors, col_vectors) of shapes (n, k) and (n, k); the
     i-th row is the vector attached to row/column vertex i.  Norms are
-    bounded by sqrt(1 + diag_tol) since X_ii <= 1 + diag_tol.
+    bounded by sqrt(1 + DIAG_TOL) since X_ii <= 1 + DIAG_TOL.
     """
-    if C.diag_max > 1.0 + cfg.diag_tol:
+    if C.diag_max > 1.0 + DIAG_TOL:
         raise CertificateError(
-            f"certificate diagonal {C.diag_max:.9f} exceeds 1 + {cfg.diag_tol}")
+            f"certificate diagonal {C.diag_max:.9f} exceeds 1 + {DIAG_TOL}")
     if C.coeffs is not None and float(np.min(C.coeffs, initial=0.0)) < 0:
         raise CertificateError("negative eigenbasis coefficient in certificate")
     n = C.n_side
@@ -194,7 +194,7 @@ def decrement_step(M: BinaryMatrix, r: int | None = None, seed: int = 0,
             "(the rank precondition is likely violated)", best=rect)
 
     cert = lower_bound_disc(M, r=r, cfg=cfg)
-    grams = gram_vectors(cert, cfg)
+    grams = gram_vectors(cert)
     rough = round_to_rect(M, grams, trials=cfg.rounding_trials, seed=seed,
                           stream=(step_index,))
     rect = adjust_to_half(M, rough, row_size=target, col_size=target)
@@ -203,7 +203,7 @@ def decrement_step(M: BinaryMatrix, r: int | None = None, seed: int = 0,
 
     # never worse than rect, which has the half sizes
     best = _half_local_search(M, "-", target, target, rect, seed,
-                              (step_index,), cfg)
+                              (step_index,))
     if best.value < 0:
         return finish(best, "local_search")
     raise DecrementStalled(
@@ -256,7 +256,7 @@ class PermutationWitness:
         return bool((sub == np.eye(self.k, dtype=np.uint8)).all())
 
 
-def zero_submatrix_sparse(M: BinaryMatrix, r: int, cfg: Config = DEFAULT):
+def zero_submatrix_sparse(M: BinaryMatrix, r: int):
     """Sparse-regime dichotomy: all-zero quarter block or permutation witness.
 
     Requires p(M) <= 1/(8r).  Rows/columns with more than n/(4r) ones are
@@ -408,11 +408,11 @@ def find_mono(M: BinaryMatrix, seed: int = 0,
     if work.m != work.n:
         square = WeightedBinaryMatrix.squared(work)
         try:
-            S = square.materialize(cfg.dense_capacity)
+            S = square.materialize()
         except CapacityError as exc:
             raise CapacityError(
                 f"squaring a {work.m}x{work.n} matrix needs side "
-                f"{square.eff_rows}; {exc}") from exc
+                f"{square.side}; {exc}") from exc
         a_rep = S.m // work.m
         b_rep = S.n // work.n
     else:
@@ -438,7 +438,7 @@ def find_mono(M: BinaryMatrix, seed: int = 0,
         cols = cols[list(step.rect.Y)]
         current = submatrix(current, step.rect.X, step.rect.Y)
 
-    terminal = zero_submatrix_sparse(current, r, cfg)
+    terminal = zero_submatrix_sparse(current, r)
     if isinstance(terminal, PermutationWitness):
         # unreachable when r is the exact rank; kept as a loud failure
         raise RankWitnessError(

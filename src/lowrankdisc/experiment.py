@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .config import Config, runtime_config
+from .config import GROTHENDIECK_K, Config, num_tol, runtime_config
 from .constructions import GenSpec
 from .decrement import find_mono
 from .errors import LowRankDiscError
@@ -137,8 +137,7 @@ def _run_bundle(gen: GenSpec, seed: int, ops: list[str], cfg: Config,
             elif op == "bound":
                 target = M
                 if M.m != M.n:
-                    target = WeightedBinaryMatrix.squared(M).materialize(
-                        cfg.dense_capacity)
+                    target = WeightedBinaryMatrix.squared(M).materialize()
                 cert = lower_bound_disc(target, r=r, cfg=cfg)
                 if M.m == M.n:
                     # the sandwich check compares against disc+ of M itself
@@ -158,9 +157,9 @@ def _run_bundle(gen: GenSpec, seed: int, ops: list[str], cfg: Config,
     # cannot exceed 24 K * disc+ (quadrant factor 4, pos/neg factor 3,
     # Grothendieck K, relaxation doubling).
     if "disc_plus" in cache and "bound_value" in cache:
-        envelope = 24.0 * cfg.grothendieck_k * float(cache["disc_plus"])
+        envelope = 24.0 * GROTHENDIECK_K * float(cache["disc_plus"])
         value = float(cache["bound_value"])
-        if value > envelope + cfg.num_tol(envelope):
+        if value > envelope + num_tol(envelope):
             for row in rows:
                 if row.matrix_id.endswith("|bound"):
                     row.status = "sandwich_violation"

@@ -19,7 +19,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DENSE_CAPACITY
 from .errors import CapacityError, MatrixParseError
 
 # First prime of the exact rank; the primes after it are tried only when it
@@ -33,16 +33,24 @@ class BinaryMatrix:
     __slots__ = ("entries", "m", "n", "ones", "row_deg", "col_deg", "_digest",
                  "_rank")
 
-    def __init__(self, entries, capacity: int = DEFAULT.dense_capacity):
-        E = np.ascontiguousarray(entries, dtype=np.uint8)
+    def __init__(self, entries):
+        E = np.asarray(entries)
         if E.ndim != 2 or E.shape[0] < 1 or E.shape[1] < 1:
             raise ValueError("entries must be a nonempty 2-d 0/1 array")
-        if E.size > capacity:
+        if E.size > DENSE_CAPACITY:
             raise CapacityError(
                 f"matrix with {E.shape[0]}x{E.shape[1]} = {E.size} entries "
-                f"exceeds the dense capacity of {capacity}")
-        if E.max(initial=0) > 1:
+                f"exceeds the dense capacity of {DENSE_CAPACITY}")
+        # values are checked before the cast, which would truncate 0.5 to 0
+        # and wrap -1 or 256; uint8 input, as every internal caller passes,
+        # needs one pass for entries above 1
+        if E.dtype == np.uint8:
+            bad = E.max() > 1
+        else:
+            bad = E.dtype != np.bool_ and not ((E == 0) | (E == 1)).all()
+        if bad:
             raise ValueError("entries must be 0 or 1")
+        E = np.ascontiguousarray(E, dtype=np.uint8)
         E.setflags(write=False)
         self.entries = E
         self.m, self.n = (int(E.shape[0]), int(E.shape[1]))
@@ -330,8 +338,7 @@ def rank(M: BinaryMatrix) -> int:
 
 # -- structural operations ----------------------------------------------------
 
-def blow_up(M: BinaryMatrix, a: int, b: int,
-            capacity: int = DEFAULT.dense_capacity) -> BinaryMatrix:
+def blow_up(M: BinaryMatrix, a: int, b: int) -> BinaryMatrix:
     """Repeat every row a times and every column b times.
 
     Entry (i, j) of the result is M[i // a, j // b].  Rank and density are
@@ -339,10 +346,10 @@ def blow_up(M: BinaryMatrix, a: int, b: int,
     """
     if a < 1 or b < 1:
         raise ValueError("blow-up factors must be positive")
-    if a * M.m * b * M.n > capacity:
+    if a * M.m * b * M.n > DENSE_CAPACITY:
         raise CapacityError(
             f"blow-up to {a * M.m}x{b * M.n} exceeds the dense capacity "
-            f"of {capacity} entries")
+            f"of {DENSE_CAPACITY} entries")
     return BinaryMatrix(np.repeat(np.repeat(M.entries, a, axis=0), b, axis=1))
 
 
@@ -371,64 +378,34 @@ def complement(M: BinaryMatrix) -> BinaryMatrix:
 
 
 class WeightedBinaryMatrix:
-    """A base matrix plus positive row/column multiplicities.
+    """The smallest uniform blow-up of a base matrix that is square, side
+    lcm(m, n), held unbuilt: `squared` makes one, and `materialize` builds
+    the dense square with `blow_up` when it fits the dense capacity.
 
-    Represents the matrix in which row i appears row_mult[i] times and
-    column j appears col_mult[j] times, without materializing it;
-    `materialize` builds the dense blow-up only when it fits the capacity
-    budget.
+    Further uniform blow-up of the square reproduces the full (mn)x(mn)
+    row/column repetition, so density, rank and normalized discrepancy are
+    all unchanged; the advantage is that the side is lcm(m, n) instead of
+    m*n.
     """
 
-    __slots__ = ("base", "row_mult", "col_mult")
+    __slots__ = ("base", "side")
 
-    def __init__(self, base: BinaryMatrix, row_mult, col_mult):
-        rm = np.asarray(row_mult, dtype=np.int64)
-        cm = np.asarray(col_mult, dtype=np.int64)
-        if rm.shape != (base.m,) or cm.shape != (base.n,):
-            raise ValueError("multiplicity vectors must match base dimensions")
-        if rm.min() < 1 or cm.min() < 1:
-            raise ValueError("all multiplicities must be >= 1")
-        rm.setflags(write=False)
-        cm.setflags(write=False)
+    def __init__(self, base: BinaryMatrix, side: int):
+        if side < 1 or side % base.m or side % base.n:
+            raise ValueError(
+                f"side {side} is not a common multiple of {base.m} and "
+                f"{base.n}")
         self.base = base
-        self.row_mult = rm
-        self.col_mult = cm
-
-    @property
-    def eff_rows(self) -> int:
-        return int(self.row_mult.sum())
-
-    @property
-    def eff_cols(self) -> int:
-        return int(self.col_mult.sum())
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.eff_rows, self.eff_cols)
-
-    def materialize(self, capacity: int = DEFAULT.dense_capacity) -> BinaryMatrix:
-        if self.eff_rows * self.eff_cols > capacity:
-            raise CapacityError(
-                f"materializing {self.eff_rows}x{self.eff_cols} exceeds the "
-                f"dense capacity of {capacity} entries")
-        E = np.repeat(np.repeat(self.base.entries, self.row_mult, axis=0),
-                      self.col_mult, axis=1)
-        return BinaryMatrix(E)
+        self.side = side
 
     @classmethod
     def squared(cls, M: BinaryMatrix) -> "WeightedBinaryMatrix":
-        """Smallest uniform blow-up of M that is square (side lcm(m, n)).
+        return cls(M, lcm(M.m, M.n))
 
-        Further uniform blow-up of the result reproduces the full
-        (mn)x(mn) row/column repetition, so density, rank and normalized
-        discrepancy are all unchanged; the advantage is that the side is
-        lcm(m, n) instead of m*n.
-        """
-        side = lcm(M.m, M.n)
-        return cls(M,
-                   np.full(M.m, side // M.m, dtype=np.int64),
-                   np.full(M.n, side // M.n, dtype=np.int64))
-
-    def __repr__(self):
-        return (f"WeightedBinaryMatrix(base={self.base.m}x{self.base.n}, "
-                f"effective={self.eff_rows}x{self.eff_cols})")
+    def materialize(self) -> BinaryMatrix:
+        side = self.side
+        if side * side > DENSE_CAPACITY:
+            raise CapacityError(
+                f"materializing {side}x{side} exceeds the dense capacity of "
+                f"{DENSE_CAPACITY} entries")
+        return blow_up(self.base, side // self.base.m, side // self.base.n)

@@ -104,7 +104,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT, Config
+from .config import DEFAULT, LOCAL_BUDGET_FACTOR, Config
 from .errors import CapacityError
 from .matrix import BinaryMatrix, _row_classes
 from .rng import STREAM_SEARCH, generator
@@ -205,8 +205,7 @@ def _best_response_search(M: BinaryMatrix, sign: str,
                           row_size: int | None = None,
                           col_size: int | None = None,
                           start: Rectangle | None = None, seed: int = 0,
-                          stream: tuple[int, ...] = (),
-                          cfg: Config = DEFAULT) -> Rectangle:
+                          stream: tuple[int, ...] = ()) -> Rectangle:
     """Alternating best response for a large (sign '+') or small (sign '-')
     disc(X, Y), over |X| = row_size and |Y| = col_size when they are given
     and over all rectangles when they are None.
@@ -217,7 +216,7 @@ def _best_response_search(M: BinaryMatrix, sign: str,
     does not strictly improve the value.  The first descent starts from
     the columns of start (all columns without one), every later one from
     a fresh random column set, generator(seed, STREAM_SEARCH, *stream,
-    restart), until cfg.local_budget_factor * max(m, n) swaps are spent
+    restart), until LOCAL_BUDGET_FACTOR * max(m, n) swaps are spent
     at m + n a round.  Returns the best rectangle seen, the earliest on a
     tie: never worse than a start of the given sizes.  Not an oracle: the
     value is exact for the rectangle but not certified optimal.
@@ -225,7 +224,7 @@ def _best_response_search(M: BinaryMatrix, sign: str,
     _check_sign(sign)
     E = M.int_entries()
     gain = 1 if sign == "+" else -1
-    budget = cfg.local_budget_factor * max(M.shape)
+    budget = LOCAL_BUDGET_FACTOR * max(M.shape)
     ymask = np.ones(M.n, dtype=bool)
     if start is not None:
         ymask = np.isin(np.arange(M.n), start.Y)

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT, Config
+from .config import (DEFAULT, DIAG_TOL, EIG_TOL_FLOOR, STRIP_FRAC,
+                     TRUNCATE_DELTA, Config, num_tol)
 from .errors import CertificateError, EigenError, RegimeError
 from .matrix import BinaryMatrix, rank as exact_rank
 from .oracle import Rectangle, disc_value
@@ -82,7 +83,7 @@ def eigendecompose(M: BinaryMatrix, eig_tol: float | None = None,
     if eig_tol is None:
         # ||A||_F = sqrt(2 |M|)
         eig_tol = max(cfg.eig_tol_factor * math.sqrt(2.0 * M.ones),
-                      cfg.eig_tol_floor)
+                      EIG_TOL_FLOOR)
 
     E = M.entries.astype(np.float64)
     try:
@@ -185,8 +186,8 @@ def _disc_of_factor(M: BinaryMatrix, G: np.ndarray) -> float:
     return inner_A - p * inner_L
 
 
-def witness(S: SpectralData, delta_max: int, matrix_hash: str = "",
-            cfg: Config = DEFAULT) -> DiscCertificate:
+def witness(S: SpectralData, delta_max: int,
+            matrix_hash: str = "") -> DiscCertificate:
     """Cube-sum PSD witness built from the top half of the spectrum.
 
     Coefficients are lambda_i^2 / Delta for the n nonnegative eigenvalues
@@ -206,16 +207,16 @@ def witness(S: SpectralData, delta_max: int, matrix_hash: str = "",
     # G squared in two halves: the same row sums, half the temporary
     diag = np.concatenate([(B ** 2).sum(axis=1) for B in (G[:h], G[h:])])
     diag_max = float(diag.max())
-    if diag_max > 1.0 + cfg.diag_tol:
+    if diag_max > 1.0 + DIAG_TOL:
         raise CertificateError(
-            f"witness diagonal {diag_max:.9f} exceeds 1 + {cfg.diag_tol}; "
+            f"witness diagonal {diag_max:.9f} exceeds 1 + {DIAG_TOL}; "
             f"eigendecomposition is suspect")
     bound = float((lam[1:] ** 3).sum() / delta_max)
 
     # direct evaluation of disc(X) on the matrix the spectrum came from
     disc_val = _disc_of_factor(S.M, G)
 
-    if disc_val < bound - cfg.num_tol(bound):
+    if disc_val < bound - num_tol(bound):
         raise CertificateError(
             f"witness disc value {disc_val:.9e} fell below its certified "
             f"bound {bound:.9e}")
@@ -227,8 +228,8 @@ def witness(S: SpectralData, delta_max: int, matrix_hash: str = "",
         residual=S.residual)
 
 
-def truncate_high_degree(M: BinaryMatrix, delta: Fraction | None = None,
-                         cfg: Config = DEFAULT):
+def truncate_high_degree(M: BinaryMatrix,
+                         delta: Fraction = TRUNCATE_DELTA):
     """Zero out rows/columns of degree >= (1+delta) * d.
 
     Returns (M', t_r, t_c, U_r, U_c) where t_r / t_c count the 1 entries in
@@ -237,8 +238,6 @@ def truncate_high_degree(M: BinaryMatrix, delta: Fraction | None = None,
     """
     if M.m != M.n:
         raise ValueError("degree truncation expects a square matrix")
-    if delta is None:
-        delta = cfg.truncate_delta
     delta = Fraction(delta)
     n = M.n
     d = Fraction(M.ones, n)
@@ -266,7 +265,7 @@ def _trivial_certificate(M: BinaryMatrix) -> DiscCertificate:
 
 
 def _strip_certificate(M: BinaryMatrix, U: tuple[int, ...], rows: bool,
-                       bound: float, cfg: Config) -> DiscCertificate:
+                       bound: float) -> DiscCertificate:
     n = M.n
     u = np.zeros(2 * n)
     if rows:
@@ -281,7 +280,7 @@ def _strip_certificate(M: BinaryMatrix, U: tuple[int, ...], rows: bool,
                          value=disc_value(M, range(n), U))
     G = u[:, None]
     disc_val = _disc_of_factor(M, G)
-    if disc_val < bound - cfg.num_tol(bound):
+    if disc_val < bound - num_tol(bound):
         raise CertificateError(
             f"strip certificate value {disc_val:.9e} below bound {bound:.9e}")
     return DiscCertificate(
@@ -297,7 +296,7 @@ def lower_bound_disc(M: BinaryMatrix, r: int | None = None,
     Requires m = n and average degree d <= n/2.  If the maximum degree
     already satisfies Delta <= 1.1 d, the cube-sum witness applies directly
     and certifies at least d^(1/2) n^(3/2) / (7 sqrt(r)).  Otherwise the
-    high-degree strips are examined: if they carry at least a strip_frac
+    high-degree strips are examined: if they carry at least a STRIP_FRAC
     share of D = min(dn, d^(1/2) n^(3/2) / (7 sqrt(r))), the strip itself is
     a rank-one certificate; if not, the witness is built on the truncated
     matrix and evaluated directly on M, with the transfer loss bounded by
@@ -317,31 +316,29 @@ def lower_bound_disc(M: BinaryMatrix, r: int | None = None,
             f"run on the complement instead")
     if M.max_degree() * 10 <= 11 * d:  # Delta <= 1.1 d, exact comparison
         S = eigendecompose(M, cfg=cfg)
-        return witness(S, M.max_degree(), matrix_hash=M.digest(), cfg=cfg)
+        return witness(S, M.max_degree(), matrix_hash=M.digest())
 
     if r is None:
         r = exact_rank(M)
-    delta = cfg.truncate_delta
-
     D = min(float(d) * n, math.sqrt(float(d)) * n ** 1.5 / (7.0 * math.sqrt(r)))
-    Mp, t_r, t_c, U_r, U_c = truncate_high_degree(M, delta, cfg)
-    if t_r + t_c >= cfg.strip_frac * D:
+    Mp, t_r, t_c, U_r, U_c = truncate_high_degree(M, TRUNCATE_DELTA)
+    if t_r + t_c >= STRIP_FRAC * D:
         # the heavy strips alone certify disc(U_r, [n]) >= (delta/2) t_r
         t_best = max(t_r, t_c)
-        bound = float(delta * t_best)
+        bound = float(TRUNCATE_DELTA * t_best)
         if t_r >= t_c:
-            return _strip_certificate(M, U_r, True, bound, cfg)
-        return _strip_certificate(M, U_c, False, bound, cfg)
+            return _strip_certificate(M, U_r, True, bound)
+        return _strip_certificate(M, U_c, False, bound)
 
     if Mp.ones == 0:
         # would imply t_r + t_c >= |M| >= dn >= strip threshold; unreachable
         return _trivial_certificate(M)
     S = eigendecompose(Mp, cfg=cfg)
-    base = witness(S, Mp.max_degree(), matrix_hash=M.digest(), cfg=cfg)
+    base = witness(S, Mp.max_degree(), matrix_hash=M.digest())
     disc_val = _disc_of_factor(M, base.factor)
     transfer = 4.0 * (M.ones - Mp.ones)
     bound = base.bound - transfer
-    if disc_val < bound - cfg.num_tol(bound):
+    if disc_val < bound - num_tol(bound):
         raise CertificateError(
             f"transferred witness value {disc_val:.9e} fell below "
             f"bound {bound:.9e}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from lowrankdisc import (BinaryMatrix, CertificateError, DiscCertificate,
                          SpectralData)
-from lowrankdisc.config import DEFAULT, Config
+from lowrankdisc.config import DIAG_TOL
 from lowrankdisc.oracle import Rectangle, SignVectorPair
 from lowrankdisc.rng import STREAM_ROUND, generator
 
@@ -308,22 +308,22 @@ def _sign_vector(m: int, n: int) -> np.ndarray:
     return f
 
 
-def disc_of_psd(M: BinaryMatrix, X: np.ndarray, cfg: Config = DEFAULT) -> float:
+def disc_of_psd(M: BinaryMatrix, X: np.ndarray) -> float:
     """disc_M(X) = <X, A> - p <X, L> for a symmetric PSD-shaped X.
 
-    X must be (m+n) x (m+n), symmetric, with diagonal at most 1 + diag_tol.
+    X must be (m+n) x (m+n), symmetric, with diagonal at most 1 + DIAG_TOL.
     """
     m, n = M.shape
     N = m + n
     X = np.asarray(X, dtype=np.float64)
     if X.shape != (N, N):
         raise ValueError(f"witness must be {N}x{N}, got {X.shape}")
-    if float(np.abs(X - X.T).max()) > cfg.diag_tol:
+    if float(np.abs(X - X.T).max()) > DIAG_TOL:
         raise ValueError("witness must be symmetric")
-    if float(X.diagonal().max()) > 1.0 + cfg.diag_tol:
+    if float(X.diagonal().max()) > 1.0 + DIAG_TOL:
         raise CertificateError(
             f"witness diagonal {float(X.diagonal().max()):.9f} exceeds "
-            f"1 + {cfg.diag_tol}")
+            f"1 + {DIAG_TOL}")
     E = M.entries.astype(np.float64)
     inner_A = 2.0 * float((E * X[:m, m:]).sum())
     e = X.sum()

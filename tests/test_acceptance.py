@@ -22,7 +22,7 @@ from lowrankdisc import (BinaryMatrix, MonoResult, best_half_rect, best_rect,
                          lower_bound_disc, planted_sparse, random_binary,
                          rank, regular_blowup, tightness_matrix,
                          witness, zero_submatrix_sparse)
-from lowrankdisc.config import DEFAULT
+from lowrankdisc.config import num_tol
 from lowrankdisc.rng import generator
 
 from conftest import small_fixtures
@@ -102,7 +102,7 @@ def test_criterion_04_relaxation_sandwich(corpus_10):
         if M.m == M.n and M.ones > 0 and M.avg_degree() <= Fraction(M.n, 2):
             cert = lower_bound_disc(M)
             cap = 43.0 * float(dp)
-            assert cert.disc_value <= cap + DEFAULT.num_tol(cap)
+            assert cert.disc_value <= cap + num_tol(cap)
             checked_cert += 1
     assert checked_cert >= 100
     report(4, f"disc+ <= disc0+ <= 12 disc+ exactly on "
@@ -120,7 +120,7 @@ def test_criterion_05_cubesum_certificate(corpus_10):
         assert cert.diag_max <= 1 + 1e-8
         cubesum = float((S.lambdas[1:S.n] ** 3).sum()) / M.max_degree()
         direct = disc_of_psd(M, psd_matrix(cert))
-        assert direct >= cubesum - DEFAULT.num_tol(cubesum)
+        assert direct >= cubesum - num_tol(cubesum)
         checked += 1
     I8 = fixtures("identity(8)")
     cert8 = witness(eigendecompose(I8), 1)
@@ -150,7 +150,7 @@ def test_criterion_06_lowrank_formula():
             assert r >= 2
             cert = lower_bound_disc(M, r=r)
             target = math.sqrt(d) * n ** 1.5 / (7.0 * math.sqrt(r))
-            assert cert.disc_value >= target - DEFAULT.num_tol(target)
+            assert cert.disc_value >= target - num_tol(target)
             checked += 1
     assert checked >= 200
     report(6, f"certificate >= d^1/2 n^3/2 / (7 sqrt(r)) on {checked} "

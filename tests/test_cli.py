@@ -499,3 +499,35 @@ def test_traced_bindings_and_public_names_resolve():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(lowrankdisc, name)]
     assert missing == []
+
+
+# Config field -> (subcommand, CLI flag, value, experiment key): the only
+# settings a user reaches; every other tunable is a constant in config.py
+USER_SETTINGS = {
+    "oracle_limit": ("disc", "--oracle-limit", 7, "oracle_limit"),
+    "rounding_trials": ("mono", "--trials", 7, "trials"),
+    "eig_tol_factor": ("bound", "--tol-eig", 1e-9, "eig_tol_factor"),
+}
+
+
+def test_config_fields_are_the_user_settings(capsys, monkeypatch):
+    import dataclasses
+
+    import lowrankdisc.cli as cli
+    from lowrankdisc.config import DEFAULT, Config
+
+    assert {f.name for f in dataclasses.fields(Config)} == set(USER_SETTINGS)
+    built = []
+    real = cli.runtime_config
+    monkeypatch.setattr(cli, "runtime_config",
+                        lambda **kw: built.append(real(**kw)) or built[-1])
+    for name, (command, flag, value, key) in USER_SETTINGS.items():
+        want = dataclasses.replace(DEFAULT, **{name: value})
+        built.clear()
+        code, _, _ = run_cli([command, "--gen-kind", "identity", "--gen-n",
+                              "2", flag, str(value)], capsys)
+        assert code == 0 and built == [want], name
+        config = ExperimentConfig.from_json_obj({
+            "gens": [{"kind": "identity", "n": 2}], "ops": ["disc0"],
+            "seeds": [1], key: value})
+        assert config.cfg == want, name

@@ -54,6 +54,23 @@ def test_rejects_non_binary():
         BinaryMatrix(np.array([[0, 2]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("entries", [
+    [[0.5, 1.7]],  # the uint8 cast would truncate these to [[0, 1]]
+    [[-1, 0]], [[256, 1]],  # and wrap these, or overflow
+    [[0.0, float("nan")]], np.array([[0, 2]], dtype=np.int64)])
+def test_rejects_non_binary_before_the_cast(entries):
+    with pytest.raises(ValueError, match="^entries must be 0 or 1$"):
+        BinaryMatrix(entries)
+
+
+def test_accepts_binary_of_any_dtype():
+    want = BinaryMatrix(np.array([[0, 1], [1, 1]], dtype=np.uint8))
+    for entries in ([[0, 1], [1, 1]], [[-0.0, 1.0], [1.0, 1.0]],
+                    np.array([[False, True], [True, True]])):
+        M = BinaryMatrix(entries)
+        assert M == want and M.entries.dtype == np.uint8
+
+
 # -- rank -----------------------------------------------------------------------
 
 def test_rank_identity():
@@ -360,33 +377,23 @@ def test_parse_rejects_bad_header():
 
 # -- weighted matrices -----------------------------------------------------------
 
-def test_weighted_matches_materialized():
-    M = random_dense(3, 5, "1/2", seed=16)
-    rm, cm = np.array([2, 1, 3]), np.array([1, 2, 1, 1, 2])
-    W = WeightedBinaryMatrix(M, rm, cm)
-    D = W.materialize()
-    # the weighted counts of the base agree with the dense blow-up's
-    E = M.int_entries()
-    ones = int(rm @ E @ cm)
-    assert W.shape == D.shape == (rm.sum(), cm.sum())
-    assert D.ones == ones
-    assert D.density() == Fraction(ones, int(rm.sum() * cm.sum()))
-    assert D.max_degree() == max(int((E @ cm).max()), int((rm @ E).max()))
-
-
-def test_weighted_requires_positive_multiplicities():
-    M = fixtures("identity(2)")
-    with pytest.raises(ValueError):
-        WeightedBinaryMatrix(M, [1, 0], [1, 1])
-
-
 def test_squared_side_is_lcm():
     M = random_dense(4, 6, "1/2", seed=17)
     W = WeightedBinaryMatrix.squared(M)
-    assert W.shape == (12, 12)
+    assert W.side == 12
     S = W.materialize()
+    assert S == blow_up(M, 3, 2)
     assert S.density() == M.density()
     assert rank(S) == rank(M)
+
+
+def test_squared_over_capacity_names_the_side():
+    M = random_dense(67, 71, "1/4", seed=1)  # lcm side 4757
+    with pytest.raises(CapacityError, match="^materializing 4757x4757 "
+                       "exceeds the dense capacity of 16777216 entries$"):
+        WeightedBinaryMatrix.squared(M).materialize()
+    with pytest.raises(ValueError, match="common multiple"):
+        WeightedBinaryMatrix(M, 71)
 
 
 def test_full_blowup_dims_and_density():

@@ -26,8 +26,8 @@ def test_heuristic_ladder_vs_exact_oracle():
         # the local-search fallback alone, from the full rectangle
         full = Rectangle(X=tuple(range(n)), Y=tuple(range(n)),
                          value=Fraction(0))
-        assert _half_local_search(M, "-", n // 2, n // 2, full, 3, (0,),
-                                  forced).value < 0
+        assert _half_local_search(M, "-", n // 2, n // 2, full, 3,
+                                  (0,)).value < 0
         r = rank(M)
         pd = M.density()
         if not Fraction(1, 8 * r) <= pd <= Fraction(1, 2):

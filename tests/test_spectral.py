@@ -2,16 +2,18 @@
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from lowrankdisc import (BinaryMatrix, CertificateError, RegimeError, blow_up,
                          disc_plus, disc_value, eigendecompose, fixtures,
                          lower_bound_disc, random_dense, rank, regular_blowup,
                          symmetrize, truncate_high_degree, witness)
-from lowrankdisc.config import DEFAULT, Config
+from lowrankdisc.config import (DEFAULT, DIAG_TOL, GROTHENDIECK_K, STRIP_FRAC,
+                                Config, num_tol)
 from lowrankdisc.rng import generator
 
 from conftest import random_corpus
@@ -151,8 +153,8 @@ def test_witness_diag_bounded_on_corpus():
         if M.ones == 0:
             continue
         cert = witness(eigendecompose(M), M.max_degree())
-        assert cert.diag_max <= 1.0 + DEFAULT.diag_tol
-        assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
+        assert cert.diag_max <= 1.0 + DIAG_TOL
+        assert cert.disc_value >= cert.bound - num_tol(cert.bound)
 
 
 def test_witness_rejects_tiny_degree():
@@ -307,7 +309,7 @@ def test_lower_bound_lowrank_formula_on_blowup():
         d = float(M.avg_degree())
         cert = lower_bound_disc(M, r=r)
         target = math.sqrt(d) * M.n ** 1.5 / (7.0 * math.sqrt(r))
-        assert cert.disc_value >= target - DEFAULT.num_tol(target)
+        assert cert.disc_value >= target - num_tol(target)
 
 
 def test_lower_bound_disc_value_dominates_bound():
@@ -315,8 +317,8 @@ def test_lower_bound_disc_value_dominates_bound():
         if M.ones == 0 or M.avg_degree() > Fraction(M.n, 2):
             continue
         cert = lower_bound_disc(M)
-        assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
-        assert cert.diag_max <= 1.0 + DEFAULT.diag_tol
+        assert cert.disc_value >= cert.bound - num_tol(cert.bound)
+        assert cert.diag_max <= 1.0 + DIAG_TOL
 
 
 def test_lower_bound_is_true_psd_value():
@@ -329,13 +331,13 @@ def test_lower_bound_is_true_psd_value():
 
 def test_grothendieck_sandwich():
     # PSD certificate value <= 24 K disc+ on oracle-sized matrices
-    K = DEFAULT.grothendieck_k
+    K = GROTHENDIECK_K
     for M in random_corpus(25, 10, 10, seed=64, min_m=10, min_n=10):
         if M.ones == 0 or M.avg_degree() > Fraction(M.n, 2):
             continue
         cert = lower_bound_disc(M)
         cap = 24.0 * K * float(disc_plus(M))
-        assert cert.disc_value <= cap + DEFAULT.num_tol(cap)
+        assert cert.disc_value <= cap + num_tol(cap)
 
 
 def _nearly_regular(n_side: int, r_base: int, extra_ones: int) -> "BinaryMatrix":
@@ -349,16 +351,18 @@ def _nearly_regular(n_side: int, r_base: int, extra_ones: int) -> "BinaryMatrix"
     return BinaryMatrix(E)
 
 
-def test_truncated_witness_path_with_lowered_threshold():
+def test_truncated_witness_path_with_lowered_threshold(monkeypatch):
     # a tiny strip share forces the witness onto the truncated matrix
+    import lowrankdisc.spectral as spectral
+
     M = _nearly_regular(64, 16, 2)
     d = M.avg_degree()
     assert M.max_degree() > Fraction(11, 10) * d  # direct path unavailable
-    cfg = DEFAULT.with_overrides(strip_frac=0.99)
-    cert = lower_bound_disc(M, cfg=cfg)
+    monkeypatch.setattr(spectral, "STRIP_FRAC", 0.99)
+    cert = lower_bound_disc(M)
     assert cert.kind == "spectral"
     assert cert.bound > 0
-    assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
+    assert cert.disc_value >= cert.bound - num_tol(cert.bound)
     assert abs(disc_of_psd(M, psd_matrix(cert)) - cert.disc_value) < 1e-7
 
 
@@ -373,7 +377,7 @@ def test_truncated_witness_path_default_threshold():
     cert = lower_bound_disc(M)
     assert cert.kind == "spectral"
     assert cert.bound > 0
-    assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
+    assert cert.disc_value >= cert.bound - num_tol(cert.bound)
 
 
 def _heavy_row_sparse() -> "BinaryMatrix":
@@ -390,7 +394,7 @@ def test_strip_certificate_path():
     cert = lower_bound_disc(_heavy_row_sparse())
     assert cert.kind == "strip"
     assert cert.rect is not None
-    assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
+    assert cert.disc_value >= cert.bound - num_tol(cert.bound)
     # strip value is exactly twice the rectangle disc
     assert abs(cert.disc_value - 2.0 * float(cert.rect.value)) < 1e-9
 
@@ -414,14 +418,14 @@ def test_certificate_branches_never_symmetrize(monkeypatch):
         raise AssertionError("symmetrization built on the certificate path")
 
     monkeypatch.setattr(spectral, "symmetrize", no_symmetrize)
-    runs = [(regular_blowup(4, 2, 16, seed=60), DEFAULT, "spectral"),
-            (_heavy_row_sparse(), DEFAULT, "strip"),
-            (_nearly_regular(64, 16, 2),
-             DEFAULT.with_overrides(strip_frac=0.99), "spectral")]
-    for M, cfg, kind in runs:
-        cert = lower_bound_disc(M, cfg=cfg)
+    runs = [(regular_blowup(4, 2, 16, seed=60), STRIP_FRAC, "spectral"),
+            (_heavy_row_sparse(), STRIP_FRAC, "strip"),
+            (_nearly_regular(64, 16, 2), 0.99, "spectral")]
+    for M, strip_frac, kind in runs:
+        monkeypatch.setattr(spectral, "STRIP_FRAC", strip_frac)
+        cert = lower_bound_disc(M)
         assert cert.kind == kind
-        assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
+        assert cert.disc_value >= cert.bound - num_tol(cert.bound)
 
 
 @st.composite
@@ -447,5 +451,44 @@ def test_every_certificate_holds_its_bound(M):
     # whatever branch builds it, a certificate's directly evaluated value
     # reaches its bound, and its witness diagonal stays within 1
     cert = lower_bound_disc(M)
-    assert cert.disc_value >= cert.bound - DEFAULT.num_tol(cert.bound)
-    assert cert.diag_max <= 1.0 + DEFAULT.diag_tol
+    assert cert.disc_value >= cert.bound - num_tol(cert.bound)
+    assert cert.diag_max <= 1.0 + DIAG_TOL
+
+
+@st.composite
+def heavy_line_inputs(draw):
+    """Nearly regular n x n matrices, 16 <= n <= 64: a k-regular blow-up
+    with a few rows or columns pushed past 1.1 times the average degree,
+    so neither the direct witness nor (at the default STRIP_FRAC) always
+    the strip certificate applies."""
+    r_base = draw(st.sampled_from([4, 8, 16]))
+    n = r_base * draw(st.integers(16 // r_base, 64 // r_base))
+    k = draw(st.integers(1, r_base // 2 - 1))
+    E = regular_blowup(r_base, k, n, seed=draw(st.integers(0, 99))).entries
+    E = E.copy()
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(1, 3))):
+        line = E[int(gen.integers(n))] if draw(st.booleans()) \
+            else E[:, int(gen.integers(n))]
+        zeros = gen.permutation(np.flatnonzero(line == 0))
+        line[zeros[:draw(st.integers(k * n // (8 * r_base) + 1,
+                                      len(zeros)))]] = 1
+    M = BinaryMatrix(E)
+    d = M.avg_degree()
+    assume(M.max_degree() * 10 > 11 * d and d <= Fraction(n, 2))
+    return M
+
+
+@given(heavy_line_inputs())
+def test_transfer_branch_holds_its_bound(M):
+    # with the strip share out of reach, every input above the direct
+    # branch's degree bound takes the transferred witness of the truncation
+    import lowrankdisc.spectral as spectral
+
+    with patch.object(spectral, "STRIP_FRAC", 1e9):
+        cert = lower_bound_disc(M)
+    assert truncate_high_degree(M)[0].ones < M.ones
+    assert cert.kind == "spectral"
+    assert cert.disc_value >= cert.bound - num_tol(cert.bound)
+    assert cert.diag_max <= 1.0 + DIAG_TOL
+    assert abs(disc_of_psd(M, psd_matrix(cert)) - cert.disc_value) < 1e-7
