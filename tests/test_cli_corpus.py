@@ -3,7 +3,8 @@ for byte.
 
 data/cli_corpus.json holds each case's argv, its stdin (matrix text or
 null), its experiment config (or null) and the recorded outputs.  To record
-them again from the package on the path:
+them again from the package on the path (the module reads the file when
+it is imported, so a first recording starts from a file holding `[]`):
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 """
