@@ -95,20 +95,30 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.m}x{self.n}, ones={self.ones})"
 
     def digest(self) -> str:
-        """Hex digest of the canonical text form, used as matrix_id."""
+        """Hex digest of the canonical text form, used as matrix_id: the
+        header and the line bytes are hashed without building the text."""
         if self._digest is None:
-            self._digest = hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+            h = hashlib.sha256(self._header().encode())
+            h.update(self._lines())
+            self._digest = h.hexdigest()[:16]
         return self._digest
 
     # -- text format ---------------------------------------------------------
     # First line "m n", then m newline-terminated lines of exactly n chars
     # from {0,1}.  Ragged or malformed input is rejected.
 
-    def to_text(self) -> str:
+    def _header(self) -> str:
+        return f"{self.m} {self.n}\n"
+
+    def _lines(self) -> np.ndarray:
+        """The m lines of the text form as ASCII bytes, one row each."""
         buf = np.empty((self.m, self.n + 1), dtype=np.uint8)
-        buf[:, :-1] = self.entries + ord("0")
+        np.add(self.entries, ord("0"), out=buf[:, :-1])
         buf[:, -1] = ord("\n")
-        return f"{self.m} {self.n}\n" + buf.tobytes().decode("ascii")
+        return buf
+
+    def to_text(self) -> str:
+        return self._header() + self._lines().tobytes().decode("ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":

@@ -62,13 +62,23 @@ key; canonical masks do not rise from chunk to chunk, so between chunks an
 equal value goes to the smaller key explicitly.  Column ties prefer the
 lowest index.
 
-The scan works in the narrowest integer width that is exact.  A row score
-is mn * E_ij - |M|, so it is at most mn in absolute value.  Every class
-set and count vector is a row set, so every table entry, chunk entry,
-column sum and objective value is at most m * n * mn = (mn)^2.  Scores,
-tables, scratch buffers and every reduce are therefore int32 when (mn)^2 <
-2^31, that is mn <= 46340, and int64 otherwise; a chunk is then at most
-1 MiB.  Row masks are int64, so at most 63 rows are enumerated.
+The scan works in the narrowest integer widths that are exact, one for
+the scores it stores and one for their sums (`_widths`).  A row score is
+mn * E_ij - |M|, so it is at most mn in absolute value.  Every class set
+and count vector is a row set, so every column sum and objective value is
+at most m * n * mn = (mn)^2: column sums, row totals, 2P and 2N and the
+top-k sums of the half rectangle are int32 when (mn)^2 < 2^31, that is
+mn <= 46340, and int64 otherwise.  A stored score (a table entry, a chunk
+in the scratch buffer, the half rectangle's score block) is the scan's
+base plus the score rows of a set of rows, so at column j it is at most
+B_j = |base_j| + sum_i |rows_ij| in magnitude.  The scores are stored in
+int16 lanes, where abs cannot wrap, when every B_j is at most 32767, and
+in the sums' width otherwise; an int16 chunk is at most 512 KiB.  A row
+score is mn - |M| or -|M|, so the rectangle scans of an input with m rows
+on its smaller side are int16 whenever m * mn <= 32767, every square input
+up to 26 x 26 included; the relaxation scans doubled rows from a base, up
+to three times that.  Row masks are int64, so at most 63 rows are
+enumerated.
 
 Both signs of the rectangle oracle come from one pass.  With A(X) =
 sum_j |s_j(X)| and the row total t(X) = sum_j s_j(X), max(s, 0) = (s +
@@ -80,7 +90,7 @@ therefore yields both, and a `disc` call costs one scan.  Both parts fit
 the scan's width: with c_j and z_j the ones and zeros of column j inside
 the rows X, mn * s_j = (mn - |M|) c_j - |M| z_j, so P <= (mn - |M|) |M|
 and likewise N <= |M| (mn - |M|), and 2P, 2N <= (mn)^2 / 2.  They are
-written in place into one pair of chunk-sized buffers.
+written in place into one pair of chunk-sized buffers in the sums' width.
 
 The relaxation oracle disc0_plus scans half the sign vectors: (x, y) and
 (-x, -y) have the same value, so the complement of an optimal row set is
@@ -110,6 +120,7 @@ from .matrix import BinaryMatrix, _row_classes
 from .rng import STREAM_SEARCH, generator
 
 _CHUNK_BITS = 18
+_INT16_MAX = 32767  # the largest magnitude whose abs is an int16
 _INT32_MAX_MN = 46340  # the largest mn with (mn)^2 < 2^31
 _MASK_BITS = 63  # row masks are int64
 
@@ -309,9 +320,27 @@ def _option_table(steps: np.ndarray, radices: list[int], base) -> np.ndarray:
     return table
 
 
+def _widths(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
+            base=0) -> tuple[type, type]:
+    """(lane, accumulator) integer widths of a scan of the given classes.
+
+    A stored value (table, chunk or score block entry) is base plus a sum
+    of score rows of distinct rows of the classes, so at column j it is at
+    most |base_j| + sum_i |rows_ij| in magnitude: the lanes are int16 when
+    that bound is at most 32767 over every column (so abs cannot wrap) and
+    the accumulator width otherwise.  Column sums and everything derived
+    from them are in the accumulator, int32 when mn <= 46340 and int64
+    otherwise (module docstring).
+    """
+    acc = np.int32 if M.m * M.n <= _INT32_MAX_MN else np.int64
+    members = [i for c in classes for i in c]
+    bound = (np.abs(base) + np.abs(rows[members]).sum(axis=0)).max()
+    return (np.int16 if bound <= _INT16_MAX else acc), acc
+
+
 def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
-          values, row_size: int | None = None,
-          base=0) -> list[tuple[int, int]]:
+          values, row_size: int | None = None, base=0,
+          totals: bool = False) -> list[tuple[int, int]]:
     """(value, row mask) of the smallest row mask with the largest value,
     one pair per objective.
 
@@ -324,13 +353,13 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
     read-only view of the split table (the scores of the low halves), high
     the score row of the chunk's high half plus base (a score row, or 0),
     read from a table of the high halves built by the same replication,
-    high_total = sum_j high[j] and totals[t] = sum_j low[j, t] from scalar
-    tables of their own.  All of them are in the scan's width, int32 when
-    mn <= 46340 (module docstring), so every table entry and column sum
-    must stay within (mn)^2.  values(low, high, high_total, totals, out)
-    returns one array per objective with one int per vector; out is a
-    scratch array of low's shape and width that it may overwrite, reused
-    by every chunk.
+    low, high and the tables are in the scan's lanes and every sum in its
+    accumulator (`_widths`).  values(low, high, out, acc) returns one array
+    per objective with one int per vector; out is a scratch array of low's
+    shape and lanes that it may overwrite, reused by every chunk, and acc
+    the accumulator dtype.  With totals, values also gets high_total =
+    sum_j high[j] and low_totals[t] = sum_j low[j, t], from scalar tables
+    in the accumulator that only such a scan builds.
 
     Ties go to the smallest key: the class mask of a union, turned into
     its row mask at the end, or the canonical row mask of a count vector
@@ -339,18 +368,18 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
     taken in blocks that share their top classes, and each block gets a
     table of its own.
     """
-    width = np.int32 if M.m * M.n <= _INT32_MAX_MN else np.int64
+    lane, acc = _widths(M, rows, classes, base)
     counted = row_size is not None
     if counted:
         # a class is one step per row, its count c_k its first c_k rows
         radices = [len(c) for c in classes]
         order = [i for c in classes for i in c]
-        steps = rows[order].astype(width)
+        steps = rows[order].astype(lane)
     else:
         # a class is one step, taken whole or left out
         radices = [1] * len(classes)
         sizes = np.array([len(c) for c in classes], dtype=np.int64)
-        steps = (rows[[c[-1] for c in classes]] * sizes[:, None]).astype(width)
+        steps = (rows[[c[-1] for c in classes]] * sizes[:, None]).astype(lane)
     ends = list(itertools.accumulate(radices, initial=0))
     chunk_size = 1 << max(0, _CHUNK_BITS - (rows.shape[1] - 1).bit_length())
 
@@ -380,10 +409,10 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
         # row masks do
         lo_keys = np.arange(table.shape[1])
     table.flags.writeable = False
-    totals = table.sum(axis=0, dtype=width)
+    low_totals = table.sum(axis=0, dtype=acc) if totals else None
     # one scratch buffer: a fresh chunk-sized array per chunk costs page
     # faults whenever the allocator hands the freed one back to the system
-    scratch = np.empty(table.size, dtype=width)
+    scratch = np.empty(table.size, dtype=lane)
     part = slice(None)
     best = None
     for t, options in enumerate(itertools.product(
@@ -394,7 +423,8 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
             range(len(radices) - 1, mid - 1, -1), options)]
         highs = _option_table(steps[hi], radices[low:mid],
                               base + sum(steps[s].sum(axis=0) for s in tops))
-        high_totals = highs.sum(axis=0, dtype=width)
+        if totals:
+            high_totals = highs.sum(axis=0, dtype=acc)
         if counted:
             high_keys, high_counts = _option_table(
                 labels[hi], radices[low:mid],
@@ -409,10 +439,11 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
                     continue
                 part = slice(starts[need], starts[need + 1])
             chunk = table[:, part]
+            row_totals = (high_totals[h], low_totals[part]) if totals else ()
             wins = []
-            for vals in values(chunk, highs[:, h], high_totals[h],
-                               totals[part],
-                               scratch[:chunk.size].reshape(chunk.shape)):
+            for vals in values(chunk, highs[:, h],
+                               scratch[:chunk.size].reshape(chunk.shape),
+                               acc, *row_totals):
                 idx = int(vals.argmax())
                 wins.append((int(vals[idx]),
                              high_key | int(lo_keys[part][idx])))
@@ -432,10 +463,10 @@ def _row_scores(M: BinaryMatrix) -> np.ndarray:
     return M.m * M.n * M.int_entries() - M.ones
 
 
-def _abs_sum(low, high, out) -> np.ndarray:
-    """sum_j |low[j, t] + high[j]| for every t, in out's width."""
+def _abs_sum(low, high, out, acc) -> np.ndarray:
+    """sum_j |low[j, t] + high[j]| for every t, summed in acc."""
     np.add(low, high[:, None], out=out)
-    return np.abs(out, out=out).sum(axis=0, dtype=out.dtype)
+    return np.abs(out, out=out).sum(axis=0, dtype=acc)
 
 
 def _rect_of_mask(M: BinaryMatrix, sign: str, best: tuple[int, int],
@@ -469,20 +500,21 @@ def best_rect_pair(M: BinaryMatrix,
 
     parts = []
 
-    def doubled_parts(low, high, high_total, totals, out):
-        # 2P = A + t and 2N = A - t in the scan's width, into one buffer
+    def doubled_parts(low, high, out, acc, high_total, low_totals):
+        # 2P = A + t and 2N = A - t in the accumulator, into one buffer
         # pair made for the first chunk (every chunk has the same length):
         # both are at most (mn)^2 / 2 (module docstring)
         if not parts:
-            parts.extend(np.empty((2, low.shape[1]), dtype=out.dtype))
+            parts.extend(np.empty((2, low.shape[1]), dtype=acc))
         two_p, two_n = parts
-        A = _abs_sum(low, high, out)
-        np.add(totals, high_total, out=two_n)
+        A = _abs_sum(low, high, out, acc)
+        np.add(low_totals, high_total, out=two_n)
         np.add(A, two_n, out=two_p)
         np.subtract(A, two_n, out=two_n)
         return two_p, two_n
 
-    best = _scan(M, _row_scores(M), _row_classes(M.entries), doubled_parts)
+    best = _scan(M, _row_scores(M), _row_classes(M.entries), doubled_parts,
+                 totals=True)
     return tuple(_rect_of_mask(M, sign, (val // 2, mask))
                  for sign, (val, mask) in zip("+-", best))
 
@@ -528,11 +560,11 @@ def best_half_rect(M: BinaryMatrix, sign: str,
     _require_oracle_size(M.m, cfg)
     top = M.n - col_size
 
-    def largest(low, high, high_total, totals, out):
+    def largest(low, high, out, acc):
         # a fresh array: numpy partitions it faster than the scratch buffer
         scores = low + high[:, None]
         scores.partition(top, axis=0)
-        return (scores[top:].sum(axis=0, dtype=scores.dtype),)
+        return (scores[top:].sum(axis=0, dtype=acc),)
 
     rows = _row_scores(M)
     (best,) = _scan(M, rows if sign == "+" else -rows,
@@ -547,9 +579,9 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
     +-1 vertex; for fixed x the optimal y_j is the sign of the column score
     (zero scores get +1).  With x = +1 on X and -1 elsewhere, the column
     scores are 2 s(X) - s([m]), so the value of X is sum_j |2 s_j(X) -
-    s_j([m])|, at most (mn)^2: the scan's width rule covers it, and the
-    scan enumerates the doubled score rows.  X is a union of classes of
-    identical rows, and x and -x have the same value, so the smallest
+    s_j([m])|, at most (mn)^2 like every sum of the scan, which enumerates
+    the doubled score rows from the base -s([m]).  X is a union of classes
+    of identical rows, and x and -x have the same value, so the smallest
     optimal X leaves out the class of row m-1 (module docstring): with K
     classes only the 2^(K-1) unions of the other classes are scanned.
     """
@@ -559,8 +591,8 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
     _require_oracle_size(M.m, cfg)
     rows = _row_scores(M)
 
-    def signed_total(low, high, high_total, totals, out):
-        return (_abs_sum(low, high, out),)
+    def signed_total(low, high, out, acc):
+        return (_abs_sum(low, high, out, acc),)
 
     # the high halves start from -s([m]), so high is 2 s(high half) - s([m]);
     # the last class holds row m-1, which the smallest optimum leaves out

@@ -131,6 +131,29 @@ def rowwise_best_rect_pair(M: BinaryMatrix) -> tuple[Rectangle, Rectangle]:
                  for value, mask, Y in (best["+"], best["-"]))
 
 
+def rowwise_best_half_rect(M: BinaryMatrix, sign: str, row_size: int,
+                           col_size: int) -> Rectangle:
+    """Optimal rectangle over |X| = row_size, |Y| = col_size: every X of
+    that size with the col_size best column scores, ties to the lowest
+    column index.
+
+    Ties keep the smallest X mask.
+    """
+    mn = M.m * M.n
+    gain = 1 if sign == "+" else -1
+    best = None
+    for mask, s in _row_set_scores(M):
+        if bin(mask).count("1") != row_size:
+            continue
+        Y = sorted(sorted(range(M.n), key=lambda j: (-gain * s[j], j))
+                   [:col_size])
+        value = sum(s[j] for j in Y)
+        if best is None or gain * value > gain * best[0]:
+            best = (value, mask, tuple(Y))
+    value, mask, Y = best
+    return Rectangle(X=_bits(mask, M.m), Y=Y, value=Fraction(value, mn))
+
+
 def rowwise_disc0(M: BinaryMatrix) -> SignVectorPair:
     """max x^T (M - pJ) y over sign vectors: every x with its best y.
 

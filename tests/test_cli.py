@@ -245,8 +245,8 @@ def test_disc_and_disc_exact_scan_once(tmp_path, capsys, monkeypatch):
     # both signs of disc come from one pass of the split-table scan
     calls = []
     scan = oracle._scan
-    monkeypatch.setattr(oracle, "_scan", lambda *args: calls.append(args)
-                        or scan(*args))
+    monkeypatch.setattr(oracle, "_scan", lambda *args, **kwargs:
+                        calls.append(args) or scan(*args, **kwargs))
     path = write_matrix(tmp_path, random_dense(12, 10, "1/2", seed=4))
     assert run_cli(["disc", path], capsys)[0] == 0
     assert len(calls) == 1

@@ -358,6 +358,16 @@ def test_digest_pinned_to_text_hash():
     assert M.digest() == expected
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (6, 6), (3, 11), (11, 3)])
+def test_digest_is_the_hash_of_the_text_form(m, n):
+    # digest() hashes the header and line bytes without building the text;
+    # it must stay the hash of the text that to_text() writes
+    for M in (random_dense(m, n, "1/2", seed=m * n),
+              random_dense(n, m, "1/3", seed=m + n).transpose()):
+        assert (M.digest()
+                == hashlib.sha256(M.to_text().encode()).hexdigest()[:16])
+
+
 def test_parse_rejects_ragged():
     with pytest.raises(MatrixParseError):
         BinaryMatrix.from_text("2 3\n101\n10\n")

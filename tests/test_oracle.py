@@ -1,5 +1,6 @@
 """Exact discrepancy oracle: values, optima, invariants, tie-breaking."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
@@ -17,7 +18,8 @@ from lowrankdisc.config import DEFAULT
 
 from conftest import random_corpus, small_fixtures
 from naive import (naive_best_half_rect, naive_best_rect, naive_disc0,
-                   rowwise_best_rect_pair, rowwise_disc0)
+                   rowwise_best_half_rect, rowwise_best_rect_pair,
+                   rowwise_disc0)
 
 
 # -- disc_value -----------------------------------------------------------------
@@ -299,20 +301,31 @@ def test_disc0_full_blowup_scaling():
                 == Fraction(disc0_plus(M).value, mn))
 
 
-def scanned_masks(call) -> int:
-    """How many row masks the objectives of call()'s scans see."""
+def scanned_chunks(call) -> list[tuple[int, np.dtype]]:
+    """(row masks, lane dtype) of every chunk the objectives of call()'s
+    scans see."""
     seen = []
     scan = oracle._scan
 
-    def counting(M, rows, classes, values, *rest):
-        def counted(low, *args):
-            seen.append(low.shape[1])
+    def recording(M, rows, classes, values, *rest, **kwargs):
+        def recorded(low, *args):
+            seen.append((low.shape[1], low.dtype))
             return values(low, *args)
-        return scan(M, rows, classes, counted, *rest)
+        return scan(M, rows, classes, recorded, *rest, **kwargs)
 
-    with patch.object(oracle, "_scan", counting):
+    with patch.object(oracle, "_scan", recording):
         call()
-    return sum(seen)
+    return seen
+
+
+def scanned_masks(call) -> int:
+    """How many row masks the objectives of call()'s scans see."""
+    return sum(masks for masks, _ in scanned_chunks(call))
+
+
+def scanned_lanes(call) -> set[np.dtype]:
+    """The lane dtypes of call()'s scans."""
+    return {lanes for _, lanes in scanned_chunks(call)}
 
 
 @pytest.mark.parametrize("chunk_bits", [oracle._CHUNK_BITS, 2])
@@ -350,6 +363,83 @@ def test_oracles_exact_at_the_int32_boundary(n):
     assert (M.m * M.n <= oracle._INT32_MAX_MN) == (n == 23170)
     assert best_rect_pair(M) == rowwise_best_rect_pair(M)
     assert disc0_plus(M) == rowwise_disc0(M)
+
+
+def int16_boundary_input(m: int, n: int, ones: int) -> BinaryMatrix:
+    """ones random ones at density about 0.9 on the first columns of an
+    m x n matrix, zero columns after them.
+
+    With density at least 1/2 a score mn E_ij - |M| is at most |M| in
+    magnitude, and -|M| on a zero column, so a zero column has the largest
+    sum_i |score_ij|: m |M| for the rectangle scans, and (3m - 2) |M| for
+    the relaxation's scan (base s([m]) plus the doubled rows but the last)
+    when the last row is in a class of its own.
+    """
+    E = np.zeros((m, n), dtype=np.uint8)
+    width = math.ceil(ones / (0.9 * m))
+    cells = np.random.default_rng(m).permutation(m * width)[:ones]
+    E[:, :width].flat[cells] = 1
+    return BinaryMatrix(E)
+
+
+@pytest.mark.parametrize("m, n, ones, rect_bound, disc0_bound", [
+    (7, 1000, 4681, 32767, 88939), (8, 1000, 4096, 32768, 90112),
+    (3, 2000, 4681, 14043, 32767), (6, 400, 2048, 12288, 32768)])
+def test_oracles_exact_at_the_int16_boundary(m, n, ones, rect_bound,
+                                             disc0_bound):
+    # the largest magnitude a stored value can take, max_j |base_j| +
+    # sum_i |step_ij|, is exactly 32767 (int16 lanes) or 32768 (int32
+    # lanes, since |-32768| wraps in int16) for the rectangle scans or the
+    # relaxation's; on the first two the whole row set stores -32767 and
+    # -32768 on the zero columns and is the minimum rectangle
+    M = int16_boundary_input(m, n, ones)
+    assert 2 * M.ones >= M.m * M.n
+    scores = M.m * M.n * M.int_entries() - M.ones
+    assert np.abs(scores).sum(axis=0).max() == rect_bound
+    rest = (M.entries != M.entries[-1]).any(axis=1)
+    assert rest.sum() == m - 1
+    assert (np.abs(scores.sum(axis=0))
+            + 2 * np.abs(scores[rest]).sum(axis=0)).max() == disc0_bound
+
+    def lanes(bound):
+        return {np.dtype(np.int16 if bound <= 32767 else np.int32)}
+
+    pair = []
+    assert scanned_lanes(lambda: pair.append(best_rect_pair(M))) \
+        == lanes(rect_bound)
+    assert pair == [rowwise_best_rect_pair(M)]
+    if rect_bound >= 32767:
+        assert pair[0][1].X == tuple(range(m))
+    relaxed = []
+    assert scanned_lanes(lambda: relaxed.append(disc0_plus(M))) \
+        == lanes(disc0_bound)
+    assert relaxed == [rowwise_disc0(M)]
+    for sign in "+-":
+        for row_size in range(1, m + 1):
+            half = []
+            assert scanned_lanes(lambda: half.append(
+                best_half_rect(M, sign, row_size))) == lanes(rect_bound)
+            assert half == [rowwise_best_half_rect(M, sign, row_size,
+                                                   n // 2)]
+
+
+@pytest.mark.parametrize("m, n", [(18, 18), (19, 19), (20, 20), (21, 21),
+                                  (22, 22), (20, 40), (26, 26)])
+def test_disc_scans_in_int16_lanes(m, n):
+    # the disc shapes of perfbench's small_n workload, and the oracle
+    # limit, must not silently widen: sum_i |score_ij| is at most
+    # m * mn = 17576 at 26 x 26, whatever the density
+    widths = []
+    scan = oracle._scan
+
+    def recording(M, rows, classes, values, row_size=None, base=0,
+                  **kwargs):
+        widths.append(oracle._widths(M, rows, classes, base))
+        return scan(M, rows, classes, values, row_size, base, **kwargs)
+
+    with patch.object(oracle, "_scan", recording):
+        best_rect_pair(random_dense(m, n, "1/2", seed=m + n))
+    assert widths == [(np.int16, np.int32)]
 
 
 def test_oracle_memory_bounded_on_wide_matrix():
@@ -414,10 +504,11 @@ def small_wide_matrices(draw):
 
 
 def widths():
-    """Patches for both scan widths: the real rule (int32 on these
-    inputs), and a rule that sends every input through int64."""
-    return [patch.object(oracle, "_INT32_MAX_MN", limit)
-            for limit in (oracle._INT32_MAX_MN, 0)]
+    """Patches for the three scan widths: the real rule (int16 lanes and
+    int32 sums on these inputs), int32 throughout and int64 throughout."""
+    return [patch.multiple(oracle, _INT16_MAX=lanes, _INT32_MAX_MN=sums)
+            for lanes, sums in ((oracle._INT16_MAX, oracle._INT32_MAX_MN),
+                                (-1, oracle._INT32_MAX_MN), (-1, 0))]
 
 
 @given(small_wide_matrices(), st.sampled_from([oracle._CHUNK_BITS, 4]),

@@ -492,3 +492,17 @@ def test_transfer_branch_holds_its_bound(M):
     assert cert.disc_value >= cert.bound - num_tol(cert.bound)
     assert cert.diag_max <= 1.0 + DIAG_TOL
     assert abs(disc_of_psd(M, psd_matrix(cert)) - cert.disc_value) < 1e-7
+
+
+@given(heavy_line_inputs())
+def test_transfer_branch_subtracts_four_per_dropped_one(M):
+    # the transferred bound is the truncation's witness bound less
+    # 4 (|M| - |M'|); the value evaluated on M sits far above that bound on
+    # these inputs, so only this comparison pins the factor
+    import lowrankdisc.spectral as spectral
+
+    with patch.object(spectral, "STRIP_FRAC", 1e9):
+        cert = lower_bound_disc(M)
+    Mp = truncate_high_degree(M)[0]
+    assert cert.bound == (witness(eigendecompose(Mp), Mp.max_degree()).bound
+                          - 4 * (M.ones - Mp.ones))
