@@ -2,10 +2,12 @@
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from lowrankdisc import fixtures, matrix, oracle, random_dense
+from lowrankdisc import (DecrementStalled, Rectangle, fixtures, matrix, oracle,
+                         random_dense)
 from lowrankdisc.cli import main
 from lowrankdisc.experiment import CSV_HEADER, ExperimentConfig, render_csv, run_experiment
 
@@ -463,6 +465,26 @@ def test_mono_tiny_inputs(tmp_path, capsys):
         assert code == 0
         last = json.loads(out.strip().split("\n")[-1])
         assert last["dims"][0] >= 1 and last["dims"][1] >= 1
+
+
+@pytest.mark.parametrize("best, tail", [
+    (Rectangle(X=(0, 1), Y=(2,), value=Fraction(-3, 4)),
+     '{"sign": "-", "X": [0, 1], "Y": [2], "value_num": -3, '
+     '"value_den": 4}\n'),
+    (None, ""),
+])
+def test_mono_stall_exit_5_with_best_candidate(capsys, monkeypatch, best,
+                                               tail):
+    import lowrankdisc.cli as cli
+
+    def stalled(M, seed, cfg):
+        raise DecrementStalled("no half-rectangle", best=best)
+
+    monkeypatch.setattr(cli, "find_mono", stalled)
+    code, out, err = run_cli(["mono", "--gen-kind", "identity", "--gen-n",
+                              "4"], capsys)
+    assert (code, out) == (5, "")
+    assert err == "decrement stalled: no half-rectangle\n" + tail
 
 
 def _tracer_bindings():

@@ -1,5 +1,6 @@
 """Spectral module: symmetrization, eigendecomposition, PSD certificates."""
 
+import json
 import math
 from fractions import Fraction
 from unittest.mock import patch
@@ -364,6 +365,26 @@ def test_truncated_witness_path_with_lowered_threshold(monkeypatch):
     assert cert.bound > 0
     assert cert.disc_value >= cert.bound - num_tol(cert.bound)
     assert abs(disc_of_psd(M, psd_matrix(cert)) - cert.disc_value) < 1e-7
+
+
+def test_transfer_branch_certificate_bytes(monkeypatch):
+    # the transfer branch (|M| = 514, |M'| = 488) pinned to its JSON bytes,
+    # which are the same under one and two BLAS threads
+    import lowrankdisc.spectral as spectral
+
+    M = _nearly_regular(64, 16, 2)
+    monkeypatch.setattr(spectral, "STRIP_FRAC", 0.99)
+    assert (M.ones, truncate_high_degree(M)[0].ones) == (514, 488)
+    cert = lower_bound_disc(M)
+    assert json.dumps(cert.to_json_obj(), sort_keys=True) == (
+        '{"bound": 240.66181450940712, "diag_max": 0.5000000000000009, '
+        '"disc_value": 348.6689298319031, "lambda_head": [8.0, '
+        '7.999999999999997, 7.777687477809238, 7.608452130361229, '
+        '5.656854249492382, 5.6568542494923815, 5.6568542494923815, '
+        '5.656854249492381, 5.65685424949238, 5.65685424949238, '
+        '5.244766677129628, 4.702282018339787, 1.245222354918194e-15, '
+        '8.90311427300268e-16, 7.98515500015168e-16, 7.98515500015168e-16], '
+        '"matrix_hash": "ddfa01e2ad510bab", "residual": 1.721359785632317e-14}')
 
 
 def test_truncated_witness_path_default_threshold():
