@@ -14,10 +14,9 @@ Public surface:
 from .config import DEFAULT, Config
 from .constructions import (GenSpec, fixtures, planted_sparse, random_binary,
                             random_dense, regular_blowup, tightness_matrix)
-from .decrement import (DecrementStep, DecrementTrace, MonoResult,
-                        PermutationWitness, StepRecord, adjust_to_half,
-                        decrement_step, find_mono, gram_vectors,
-                        round_to_rect, zero_submatrix_sparse)
+from .decrement import (DecrementTrace, MonoResult, PermutationWitness,
+                        StepRecord, adjust_to_half, decrement_step, find_mono,
+                        gram_vectors, round_to_rect, zero_submatrix_sparse)
 from .errors import (CapacityError, CertificateError, DecrementStalled,
                      EigenError, LowRankDiscError, MatrixParseError,
                      RankWitnessError, RegimeError)
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryMatrix", "CSV_HEADER", "CapacityError", "CertificateError",
-    "Config", "DEFAULT", "DecrementStalled", "DecrementStep", "DecrementTrace",
+    "Config", "DEFAULT", "DecrementStalled", "DecrementTrace",
     "DiscCertificate", "EigenError", "ExperimentConfig", "GenSpec",
     "LowRankDiscError", "MatrixParseError", "MonoResult", "PermutationWitness",
     "RankWitnessError", "Rectangle", "RegimeError", "ReportRow",

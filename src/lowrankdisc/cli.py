@@ -13,14 +13,15 @@ import json
 import sys
 
 from .config import runtime_config
-from .constructions import GenSpec
+from .constructions import GEN_KINDS, GenSpec
 from .decrement import find_mono
 from .errors import (CapacityError, DecrementStalled, LowRankDiscError,
                      MatrixParseError, RegimeError)
 from .experiment import ExperimentConfig, render_csv, run_experiment
 from .matrix import BinaryMatrix, WeightedBinaryMatrix
 # best_rect is unused here but stays bound: perfbench/tracer.py wraps it
-from .oracle import best_rect, best_rect_pair, heuristic_rect  # noqa: F401
+from .oracle import (best_rect, best_rect_pair, exact_row_limit,  # noqa: F401
+                     heuristic_rect)
 from .spectral import lower_bound_disc
 
 EXIT_OK = 0
@@ -35,9 +36,7 @@ def _add_matrix_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("matrix_file", nargs="?",
                      help="matrix text file ('-' for stdin); omit when "
                           "generating with --gen-kind")
-    sub.add_argument("--gen-kind", choices=("identity", "all_ones",
-                                            "all_zeros", "random_dense",
-                                            "blowup_random"))
+    sub.add_argument("--gen-kind", choices=GEN_KINDS)
     sub.add_argument("--gen-r", type=int)
     sub.add_argument("--gen-p", type=str)
     sub.add_argument("--gen-m", type=int)
@@ -48,8 +47,8 @@ def _add_matrix_args(sub: argparse.ArgumentParser) -> None:
 def _load_matrix(args) -> BinaryMatrix:
     if args.gen_kind is not None:
         spec = GenSpec(kind=args.gen_kind, r=args.gen_r, p=args.gen_p,
-                       m=args.gen_m, n=args.gen_n, seed=args.gen_seed)
-        return spec.build()
+                       m=args.gen_m, n=args.gen_n)
+        return spec.build(args.gen_seed)
     if args.matrix_file is None:
         raise MatrixParseError("no matrix given: pass a file or --gen-kind")
     if args.matrix_file == "-":
@@ -71,12 +70,12 @@ def cmd_disc(args) -> int:
     cfg = runtime_config(oracle_limit=args.oracle_limit)
     M = _load_matrix(args)
     out = {"m": M.m, "n": M.n, "ones": M.ones, "heuristic": False}
-    if min(M.m, M.n) > cfg.oracle_limit:
+    limit = exact_row_limit(cfg)
+    if min(M.m, M.n) > limit:
         if not args.heuristic:
             raise CapacityError(
                 f"matrix side {min(M.m, M.n)} exceeds the exact oracle "
-                f"limit of {cfg.oracle_limit}; pass --heuristic for "
-                f"uncertified bounds")
+                f"limit of {limit}; pass --heuristic for uncertified bounds")
         plus = heuristic_rect(M, "+", seed=args.seed)
         minus = heuristic_rect(M, "-", seed=args.seed)
         out["heuristic"] = True
@@ -103,13 +102,7 @@ def cmd_bound(args) -> int:
 def cmd_mono(args) -> int:
     cfg = runtime_config(oracle_limit=args.oracle_limit, trials=args.trials)
     M = _load_matrix(args)
-    try:
-        result, trace = find_mono(M, seed=args.seed, cfg=cfg)
-    except DecrementStalled as exc:
-        sys.stderr.write(f"decrement stalled: {exc}\n")
-        if exc.best is not None:
-            sys.stderr.write(json.dumps(exc.best.to_json_obj("-")) + "\n")
-        return EXIT_STALL
+    result, trace = find_mono(M, seed=args.seed, cfg=cfg)
     if not result.verify(M):
         raise AssertionError("result failed entrywise verification")
     sys.stdout.write(trace.to_json_lines())
@@ -188,6 +181,8 @@ def main(argv=None) -> int:
         return EXIT_REGIME
     except DecrementStalled as exc:
         sys.stderr.write(f"decrement stalled: {exc}\n")
+        if exc.best is not None:
+            sys.stderr.write(json.dumps(exc.best.to_json_obj("-")) + "\n")
         return EXIT_STALL
     except (ValueError, LowRankDiscError) as exc:
         sys.stderr.write(f"error: {exc}\n")

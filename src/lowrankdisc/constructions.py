@@ -118,25 +118,28 @@ def fixtures(name: str) -> BinaryMatrix:
     raise ValueError(f"unknown fixture {name!r}")
 
 
-_GEN_KINDS = ("identity", "all_ones", "all_zeros", "random_dense",
-              "blowup_random")
+GEN_KINDS = ("identity", "all_ones", "all_zeros", "random_dense",
+             "blowup_random")
 
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Declarative matrix generator, accepted as CLI flags and in configs."""
+    """Declarative matrix generator, accepted as CLI flags and in configs.
+
+    The seed is not part of the spec: `build(seed)` takes it, from
+    --gen-seed or from each of an experiment's "seeds".
+    """
 
     kind: str
     r: int | None = None
     p: Fraction | None = None
     m: int | None = None
     n: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _GEN_KINDS:
+        if self.kind not in GEN_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}; "
-                             f"choose from {_GEN_KINDS}")
+                             f"choose from {GEN_KINDS}")
         if self.p is not None:
             object.__setattr__(self, "p", _as_fraction(self.p))
             if not 0 <= self.p <= 1:
@@ -147,8 +150,7 @@ class GenSpec:
             if value is None:
                 raise ValueError(f"generator {self.kind!r} needs {name}")
 
-    def build(self, seed: int | None = None) -> BinaryMatrix:
-        eff_seed = seed if seed is not None else (self.seed or 0)
+    def build(self, seed: int = 0) -> BinaryMatrix:
         if self.kind == "identity":
             self._require(n=self.n)
             return fixtures(f"identity({self.n})")
@@ -160,9 +162,9 @@ class GenSpec:
             return fixtures(f"all_zeros({self.m},{self.n})")
         if self.kind == "random_dense":
             self._require(m=self.m, n=self.n, p=self.p)
-            return random_dense(self.m, self.n, self.p, eff_seed)
+            return random_dense(self.m, self.n, self.p, seed)
         self._require(r=self.r, p=self.p, m=self.m, n=self.n)
-        return tightness_matrix(self.r, self.p, self.m, self.n, eff_seed)
+        return tightness_matrix(self.r, self.p, self.m, self.n, seed)
 
     def label(self) -> str:
         parts = []
@@ -179,8 +181,7 @@ class GenSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError(f"generator spec must be an object with 'kind', "
                              f"got {obj!r}")
-        extra = set(obj) - {f.name for f in fields(cls) if f.init}
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown generator fields {sorted(extra)}")
-        return cls(kind=obj["kind"], r=obj.get("r"), p=obj.get("p"),
-                   m=obj.get("m"), n=obj.get("n"), seed=obj.get("seed"))
+        return cls(**obj)

@@ -28,7 +28,8 @@ from .matrix import BinaryMatrix, WeightedBinaryMatrix, complement, rank, submat
 # bound under its own name, which perfbench/tracer.py wraps as the
 # decrement's local-search span
 from .oracle import _best_response_search as _half_local_search
-from .oracle import Rectangle, _half_sizes, _respond, _scores, best_half_rect
+from .oracle import (Rectangle, _half_sizes, _respond, _scores, best_half_rect,
+                     exact_row_limit)
 from .rng import STREAM_ROUND, generator
 from .spectral import DiscCertificate, lower_bound_disc
 
@@ -143,29 +144,43 @@ def adjust_to_half(M: BinaryMatrix, R: Rectangle,
 # -- one decrement step ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class DecrementStep:
-    """Outcome of one density-decrement step."""
+class StepRecord:
+    """One density-decrement step, as the decrement loop's trace logs it:
+    the n_i x n_i input of density p_i and its half-by-half rectangle."""
 
+    index: int
+    n_i: int
+    p_i: Fraction
     rect: Rectangle
     strategy: str
-    p_before: Fraction
-    p_after: Fraction
+
+    @property
+    def p_after(self) -> Fraction:
+        half = self.n_i // 2
+        return self.p_i + self.rect.value / (half * half)
 
     @property
     def decrement(self) -> Fraction:
-        return self.p_before - self.p_after
+        return self.p_i - self.p_after
+
+    def to_json_obj(self) -> dict:
+        return {"i": self.index, "n_i": self.n_i,
+                "p_num": self.p_i.numerator, "p_den": self.p_i.denominator,
+                "strategy_used": self.strategy,
+                "disc_num": self.rect.value.numerator,
+                "disc_den": self.rect.value.denominator}
 
 
 def decrement_step(M: BinaryMatrix, r: int | None = None, seed: int = 0,
-                   step_index: int = 0, cfg: Config = DEFAULT) -> DecrementStep:
+                   step_index: int = 0, cfg: Config = DEFAULT) -> StepRecord:
     """Find a half-by-half submatrix of strictly smaller density.
 
     Strategy ladder, first success wins: exact half-rectangle oracle when
-    the side is within the oracle limit; spectral certificate -> Gram
+    the side is within `exact_row_limit(cfg)`; spectral certificate -> Gram
     rounding -> half-size adjustment; the best-response search at half
-    sizes from the adjusted rectangle.  Raises DecrementStalled (carrying
-    the best candidate) if no strictly negative half-rectangle is found
-    within budget.
+    sizes from the adjusted rectangle.  Returns the step as trace entry
+    step_index.  Raises DecrementStalled (carrying the best candidate) if
+    no strictly negative half-rectangle is found within budget.
     """
     if M.m != M.n:
         raise ValueError("decrement_step expects a square matrix")
@@ -180,12 +195,11 @@ def decrement_step(M: BinaryMatrix, r: int | None = None, seed: int = 0,
             f"density {p} outside the decrement regime [1/(8r), 1/2] for r={r}")
     target = n // 2
 
-    def finish(rect: Rectangle, strategy: str) -> DecrementStep:
-        p_after = p + Fraction(rect.value, target * target)
-        return DecrementStep(rect=rect, strategy=strategy,
-                             p_before=p, p_after=p_after)
+    def finish(rect: Rectangle, strategy: str) -> StepRecord:
+        return StepRecord(index=step_index, n_i=n, p_i=p, rect=rect,
+                          strategy=strategy)
 
-    if n <= cfg.oracle_limit:
+    if n <= exact_row_limit(cfg):
         rect = best_half_rect(M, "-", target, target, cfg)
         if rect.value < 0:
             return finish(rect, "exact")
@@ -310,24 +324,6 @@ def zero_submatrix_sparse(M: BinaryMatrix, r: int):
 # -- full pipeline -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StepRecord:
-    """One trace entry of the decrement loop."""
-
-    index: int
-    n_i: int
-    p_i: Fraction
-    rect: Rectangle
-    strategy: str
-
-    def to_json_obj(self) -> dict:
-        return {"i": self.index, "n_i": self.n_i,
-                "p_num": self.p_i.numerator, "p_den": self.p_i.denominator,
-                "strategy_used": self.strategy,
-                "disc_num": self.rect.value.numerator,
-                "disc_den": self.rect.value.denominator}
-
-
-@dataclass(frozen=True)
 class DecrementTrace:
     """Per-iteration log of the decrement loop plus the terminal result."""
 
@@ -431,9 +427,7 @@ def find_mono(M: BinaryMatrix, seed: int = 0,
         except DecrementStalled as exc:
             exc.trace = tuple(steps)
             raise
-        steps.append(StepRecord(index=len(steps), n_i=current.n,
-                                p_i=current.density(), rect=step.rect,
-                                strategy=step.strategy))
+        steps.append(step)
         rows = rows[list(step.rect.X)]
         cols = cols[list(step.rect.Y)]
         current = submatrix(current, step.rect.X, step.rect.Y)

@@ -78,7 +78,8 @@ score is mn - |M| or -|M|, so the rectangle scans of an input with m rows
 on its smaller side are int16 whenever m * mn <= 32767, every square input
 up to 26 x 26 included; the relaxation scans doubled rows from a base, up
 to three times that.  Row masks are int64, so at most 63 rows are
-enumerated.
+enumerated: `exact_row_limit` caps the oracle limit there, and `disc` and
+the density decrement read it too.
 
 Both signs of the rectangle oracle come from one pass.  With A(X) =
 sum_j |s_j(X)| and the row total t(X) = sum_j s_j(X), max(s, 0) = (s +
@@ -289,15 +290,18 @@ def _check_sign(sign: str) -> None:
         raise ValueError("sign must be '+' or '-'")
 
 
+def exact_row_limit(cfg: Config) -> int:
+    """The most rows the exact oracles enumerate: cfg.oracle_limit, capped
+    at the 63 rows of an int64 row mask."""
+    return min(cfg.oracle_limit, _MASK_BITS)
+
+
 def _require_oracle_size(m: int, cfg: Config) -> None:
-    if m > cfg.oracle_limit:
+    limit = exact_row_limit(cfg)
+    if m > limit:
         raise CapacityError(
             f"exact enumeration over {m} rows exceeds the oracle limit of "
-            f"{cfg.oracle_limit}; use the spectral/heuristic path instead")
-    if m > _MASK_BITS:
-        raise CapacityError(
-            f"exact enumeration over {m} rows exceeds the {_MASK_BITS} rows "
-            f"of an int64 row mask")
+            f"{limit}; use the spectral/heuristic path instead")
 
 
 def _option_table(steps: np.ndarray, radices: list[int], base) -> np.ndarray:

@@ -48,9 +48,7 @@ class SpectralData:
     """
 
     N: int
-    m: int
     n: int
-    ones: int
     lambdas: np.ndarray
     U: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
@@ -59,13 +57,8 @@ class SpectralData:
     eig_tol: float
     M: BinaryMatrix = field(repr=False)
 
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.ones, self.m * self.n)
 
-
-def eigendecompose(M: BinaryMatrix, eig_tol: float | None = None,
-                   cfg: Config = DEFAULT) -> SpectralData:
+def eigendecompose(M: BinaryMatrix, cfg: Config = DEFAULT) -> SpectralData:
     """Spectrum of the symmetrization of M from one SVD of M.
 
     Each singular triple (sigma, u, v) yields the eigenpairs
@@ -80,10 +73,8 @@ def eigendecompose(M: BinaryMatrix, eig_tol: float | None = None,
         raise ValueError("eigendecompose expects a square matrix")
     n = M.n
     N = 2 * n
-    if eig_tol is None:
-        # ||A||_F = sqrt(2 |M|)
-        eig_tol = max(cfg.eig_tol_factor * math.sqrt(2.0 * M.ones),
-                      EIG_TOL_FLOOR)
+    # ||A||_F = sqrt(2 |M|)
+    eig_tol = max(cfg.eig_tol_factor * math.sqrt(2.0 * M.ones), EIG_TOL_FLOOR)
 
     E = M.entries.astype(np.float64)
     try:
@@ -129,8 +120,8 @@ def eigendecompose(M: BinaryMatrix, eig_tol: float | None = None,
         raise EigenError(
             f"eigenvalue trace defect {trace_gap:.3e} exceeds "
             f"{N} * {eig_tol:.3e}", residual=residual)
-    return SpectralData(N=N, m=n, n=n, ones=M.ones, lambdas=lambdas, U=U,
-                        V=V, residual=residual, ortho_error=ortho_error,
+    return SpectralData(N=N, n=n, lambdas=lambdas, U=U, V=V,
+                        residual=residual, ortho_error=ortho_error,
                         eig_tol=eig_tol, M=M)
 
 
@@ -186,14 +177,15 @@ def _disc_of_factor(M: BinaryMatrix, G: np.ndarray) -> float:
     return inner_A - p * inner_L
 
 
-def witness(S: SpectralData, delta_max: int,
-            matrix_hash: str = "") -> DiscCertificate:
+def witness(S: SpectralData) -> DiscCertificate:
     """Cube-sum PSD witness built from the top half of the spectrum.
 
+    Delta is the maximum degree of S.M, the matrix the spectrum came from.
     Coefficients are lambda_i^2 / Delta for the n nonnegative eigenvalues
     and exactly zero beyond; (1/Delta) A^2 - X being PSD forces the witness
     diagonal below 1.  The certified bound is (1/Delta) sum_{i>=2} lambda_i^3.
     """
+    delta_max = S.M.max_degree()
     if delta_max < 1:
         raise ValueError("maximum degree must be at least 1")
     h = S.n
@@ -223,14 +215,13 @@ def witness(S: SpectralData, delta_max: int,
     return DiscCertificate(
         kind="spectral", n_side=h, coeffs=coeffs, factor=G,
         disc_value=disc_val, diag_max=diag_max, bound=bound,
-        matrix_hash=matrix_hash,
+        matrix_hash=S.M.digest(),
         lambda_head=tuple(float(x) for x in S.lambdas[:16]),
         residual=S.residual)
 
 
-def truncate_high_degree(M: BinaryMatrix,
-                         delta: Fraction = TRUNCATE_DELTA):
-    """Zero out rows/columns of degree >= (1+delta) * d.
+def truncate_high_degree(M: BinaryMatrix):
+    """Zero out rows/columns of degree >= (1+delta) * d, delta TRUNCATE_DELTA.
 
     Returns (M', t_r, t_c, U_r, U_c) where t_r / t_c count the 1 entries in
     the cleared row / column strips of the original matrix.  Every degree
@@ -238,10 +229,9 @@ def truncate_high_degree(M: BinaryMatrix,
     """
     if M.m != M.n:
         raise ValueError("degree truncation expects a square matrix")
-    delta = Fraction(delta)
     n = M.n
     d = Fraction(M.ones, n)
-    thr = (1 + delta) * d
+    thr = (1 + TRUNCATE_DELTA) * d
     # deg >= thr  <=>  deg * den >= num   (exact integer comparison)
     num, den = thr.numerator, thr.denominator
     U_r = tuple(int(i) for i in np.nonzero(M.row_deg * den >= num)[0])
@@ -315,13 +305,12 @@ def lower_bound_disc(M: BinaryMatrix, r: int | None = None,
             f"average degree {float(d):.3f} exceeds n/2 = {n / 2}; "
             f"run on the complement instead")
     if M.max_degree() * 10 <= 11 * d:  # Delta <= 1.1 d, exact comparison
-        S = eigendecompose(M, cfg=cfg)
-        return witness(S, M.max_degree(), matrix_hash=M.digest())
+        return witness(eigendecompose(M, cfg))
 
     if r is None:
         r = exact_rank(M)
     D = min(float(d) * n, math.sqrt(float(d)) * n ** 1.5 / (7.0 * math.sqrt(r)))
-    Mp, t_r, t_c, U_r, U_c = truncate_high_degree(M, TRUNCATE_DELTA)
+    Mp, t_r, t_c, U_r, U_c = truncate_high_degree(M)
     if t_r + t_c >= STRIP_FRAC * D:
         # the heavy strips alone certify disc(U_r, [n]) >= (delta/2) t_r
         t_best = max(t_r, t_c)
@@ -333,8 +322,7 @@ def lower_bound_disc(M: BinaryMatrix, r: int | None = None,
     if Mp.ones == 0:
         # would imply t_r + t_c >= |M| >= dn >= strip threshold; unreachable
         return _trivial_certificate(M)
-    S = eigendecompose(Mp, cfg=cfg)
-    base = witness(S, Mp.max_degree(), matrix_hash=M.digest())
+    base = witness(eigendecompose(Mp, cfg))
     disc_val = _disc_of_factor(M, base.factor)
     transfer = 4.0 * (M.ones - Mp.ones)
     bound = base.bound - transfer

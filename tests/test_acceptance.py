@@ -116,14 +116,14 @@ def test_criterion_05_cubesum_certificate(corpus_10):
         if M.m != M.n or M.ones == 0:
             continue
         S = eigendecompose(M)
-        cert = witness(S, M.max_degree(), matrix_hash=M.digest())
+        cert = witness(S)
         assert cert.diag_max <= 1 + 1e-8
         cubesum = float((S.lambdas[1:S.n] ** 3).sum()) / M.max_degree()
         direct = disc_of_psd(M, psd_matrix(cert))
         assert direct >= cubesum - num_tol(cubesum)
         checked += 1
     I8 = fixtures("identity(8)")
-    cert8 = witness(eigendecompose(I8), 1)
+    cert8 = witness(eigendecompose(I8))
     assert abs(cert8.bound - 7.0) <= 1e-6
     assert cert8.disc_value >= 7.0 - 1e-6
     report(5, f"witness diag <= 1+1e-8 and disc(X) >= cube-sum bound on "

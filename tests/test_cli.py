@@ -67,6 +67,23 @@ def test_disc_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+DISC_64 = ["disc", "--gen-kind", "random_dense", "--gen-p", "1/2",
+           "--gen-m", "64", "--gen-n", "64"]
+
+
+@pytest.mark.parametrize("args, want", [
+    (DISC_64, 3), (DISC_64 + ["--heuristic"], 0),
+    (["mono", "--gen-kind", "blowup_random", "--gen-r", "4", "--gen-p", "1/4",
+      "--gen-m", "64", "--gen-n", "64", "--gen-seed", "5"], 0),
+])
+def test_oracle_limit_above_63_acts_as_63(capsys, args, want):
+    # row masks are int64: a limit of 100 sent 64-row inputs to the exact
+    # oracle, which refused them, instead of to the heuristic or rounding
+    code, out, err = run_cli(args + ["--oracle-limit", "100"], capsys)
+    assert code == want
+    assert (code, out, err) == run_cli(args + ["--oracle-limit", "63"], capsys)
+
+
 def test_disc_from_genspec_flags(capsys):
     code, out, _ = run_cli(["disc", "--gen-kind", "identity", "--gen-n", "4"],
                            capsys)
@@ -262,6 +279,17 @@ def test_experiment_invalid_config(tmp_path, capsys):
     path.write_text(json.dumps({"gens": [], "ops": ["disc_exact"], "seeds": [1]}))
     code, _, err = run_cli(["experiment", str(path)], capsys)
     assert code == 1
+
+
+def test_experiment_rejects_a_generator_seed(tmp_path, capsys):
+    # "seeds" alone seeds the generators; a gen's "seed" was ignored
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"gens": [{"kind": "identity", "n": 4,
+                                          "seed": 99}],
+                                "ops": ["disc_exact"], "seeds": [1]}))
+    code, out, err = run_cli(["experiment", str(path)], capsys)
+    assert (code, out, err) == (1, "", "error: unknown generator fields "
+                                       "['seed']\n")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -553,3 +581,20 @@ def test_config_fields_are_the_user_settings(capsys, monkeypatch):
             "gens": [{"kind": "identity", "n": 2}], "ops": ["disc0"],
             "seeds": [1], key: value})
         assert config.cfg == want, name
+
+
+def test_input_fixed_values_take_no_parameter():
+    # Delta, the matrix hash, the eigensolver tolerance, the truncation
+    # delta and a generator's seed all follow from the input or a setting
+    import dataclasses
+    import inspect
+
+    from lowrankdisc import (GenSpec, eigendecompose, truncate_high_degree,
+                             witness)
+
+    assert [f.name for f in dataclasses.fields(GenSpec)] == [
+        "kind", "r", "p", "m", "n"]
+    params = {fn.__name__: list(inspect.signature(fn).parameters)
+              for fn in (witness, eigendecompose, truncate_high_degree)}
+    assert params == {"witness": ["S"], "eigendecompose": ["M", "cfg"],
+                      "truncate_high_degree": ["M"]}

@@ -92,10 +92,13 @@ def test_genspec_build_and_label():
 
 
 def test_genspec_json_round_trip():
-    spec = GenSpec.from_json_obj({"kind": "random_dense", "m": 4, "n": 6,
-                                  "p": "1/3", "seed": 2})
+    obj = {"kind": "random_dense", "m": 4, "n": 6, "p": "1/3"}
+    spec = GenSpec.from_json_obj(obj)
     assert spec.p == Fraction(1, 3)
     assert spec.build().shape == (4, 6)
+    # the seed goes to build(seed), never into the spec
+    with pytest.raises(ValueError, match=r"unknown generator fields \['seed'\]"):
+        GenSpec.from_json_obj({**obj, "seed": 2})
 
 
 def test_genspec_rejects_unknown():

@@ -42,7 +42,7 @@ def test_gram_vectors_zero_witness():
 
 def test_gram_vectors_reconstruct_identity2_witness():
     I2 = fixtures("identity(2)")
-    cert = witness(eigendecompose(I2), 1)
+    cert = witness(eigendecompose(I2))
     V, W = gram_vectors(cert)
     G = np.vstack([V, W])
     assert np.abs(G @ G.T - psd_matrix(cert)).max() < 1e-7
@@ -177,7 +177,7 @@ def test_step_blowup_12x12_decreases():
         M = complement(M)  # out-of-regime callers complement first
     assert Fraction(1, 8 * rank(M)) <= M.density() <= Fraction(1, 2)
     st = decrement_step(M, seed=0)
-    assert st.p_after < st.p_before
+    assert st.p_after < st.p_i
     sub = submatrix(M, st.rect.X, st.rect.Y)
     assert sub.density() == st.p_after
 
@@ -191,8 +191,8 @@ def test_step_postconditions_sweep():
             continue
         st = decrement_step(M, seed=seed)
         assert st.rect.shape == (6, 6)
-        assert st.p_after <= st.p_before
-        assert st.p_after < st.p_before  # strict per contract
+        assert st.p_after <= st.p_i
+        assert st.p_after < st.p_i  # strict per contract
         assert st.rect.verify(M)
 
 
@@ -225,7 +225,7 @@ def test_step_falls_back_to_local_search(monkeypatch):
         M = complement(M)
     st = decrement_step(M, seed=0, cfg=forced)
     assert st.strategy == "local_search"
-    assert st.p_after < st.p_before
+    assert st.p_after < st.p_i
 
 
 # -- zero_submatrix_sparse ------------------------------------------------------------

@@ -34,7 +34,7 @@ def test_heuristic_ladder_vs_exact_oracle():
             continue
         st = decrement_step(M, r=r, seed=3, cfg=forced)
         assert st.strategy in ("rounding", "local_search")
-        assert st.p_after < st.p_before
+        assert st.p_after < st.p_i
         # cannot beat the exact optimum over half rectangles
         exact = best_half_rect(M, "-")
         assert st.rect.value >= exact.value

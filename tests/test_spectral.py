@@ -98,7 +98,7 @@ def test_eigenvector_pairing_relation():
     M = random_dense(6, 6, "1/2", seed=51)
     S = eigendecompose(M)
     f = np.ones(S.N)
-    f[S.m:] = -1.0
+    f[S.n:] = -1.0
     W = vectors(S)
     for i in range(S.N):
         flipped = f * W[:, S.N - 1 - i]
@@ -131,7 +131,7 @@ def test_eigen_deterministic():
 
 def test_witness_identity2_exact():
     I2 = fixtures("identity(2)")
-    cert = witness(eigendecompose(I2), 1)
+    cert = witness(eigendecompose(I2))
     assert np.allclose(cert.coeffs, [1, 1, 0, 0])
     assert abs(cert.disc_value - 1.0) < 1e-9
     assert abs(cert.bound - 1.0) < 1e-9
@@ -140,12 +140,12 @@ def test_witness_identity2_exact():
 def test_witness_all_ones_bound_zero():
     n = 4
     J = fixtures(f"all_ones({n},{n})")
-    cert = witness(eigendecompose(J), n)
+    cert = witness(eigendecompose(J))
     assert abs(cert.bound) < 1e-9
 
 
 def test_witness_identity4_diag_half():
-    cert = witness(eigendecompose(fixtures("identity(4)")), 1)
+    cert = witness(eigendecompose(fixtures("identity(4)")))
     assert abs(cert.diag_max - 0.5) < 1e-9
 
 
@@ -153,14 +153,15 @@ def test_witness_diag_bounded_on_corpus():
     for M in random_corpus(15, 8, 8, seed=54, min_m=8, min_n=8):
         if M.ones == 0:
             continue
-        cert = witness(eigendecompose(M), M.max_degree())
+        cert = witness(eigendecompose(M))
         assert cert.diag_max <= 1.0 + DIAG_TOL
         assert cert.disc_value >= cert.bound - num_tol(cert.bound)
 
 
 def test_witness_rejects_tiny_degree():
+    # Delta is read from the matrix: only an all-zero input has Delta < 1
     with pytest.raises(ValueError):
-        witness(eigendecompose(fixtures("identity(2)")), 0)
+        witness(eigendecompose(fixtures("all_zeros(2,2)")))
 
 
 # -- disc_of_psd --------------------------------------------------------------------
@@ -172,7 +173,7 @@ def test_disc_of_psd_zero():
 
 def test_disc_of_psd_matches_witness_value():
     M = random_dense(6, 6, "1/2", seed=55)
-    cert = witness(eigendecompose(M), M.max_degree())
+    cert = witness(eigendecompose(M))
     direct = disc_of_psd(M, psd_matrix(cert))
     assert abs(direct - cert.disc_value) < 1e-8
 
@@ -218,7 +219,7 @@ def test_discX_bound_zero_coeffs():
 
 def test_discX_bound_identity2_witness():
     S = eigendecompose(fixtures("identity(2)"))
-    cert = witness(S, 1)
+    cert = witness(S)
     assert abs(discX_bound(S, cert.coeffs, Fraction(1, 2)) - 1.0) < 1e-9
 
 
@@ -525,5 +526,5 @@ def test_transfer_branch_subtracts_four_per_dropped_one(M):
     with patch.object(spectral, "STRIP_FRAC", 1e9):
         cert = lower_bound_disc(M)
     Mp = truncate_high_degree(M)[0]
-    assert cert.bound == (witness(eigendecompose(Mp), Mp.max_degree()).bound
+    assert cert.bound == (witness(eigendecompose(Mp)).bound
                           - 4 * (M.ones - Mp.ones))
