@@ -77,9 +77,15 @@ in the sums' width otherwise; an int16 chunk is at most 512 KiB.  A row
 score is mn - |M| or -|M|, so the rectangle scans of an input with m rows
 on its smaller side are int16 whenever m * mn <= 32767, every square input
 up to 26 x 26 included; the relaxation scans doubled rows from a base, up
-to three times that.  Row masks are int64, so at most 63 rows are
-enumerated: `exact_row_limit` caps the oracle limit there, and `disc` and
-the density decrement read it too.
+to three times that.  In int16 lanes an abs value is at most max_j B_j and
+reads unchanged as a uint16, so the column sums of the abs values run in
+uint16 over runs of k = 65535 // max_j B_j columns (k >= 2, capped at n),
+exact since k * max_j B_j <= 65535, and only the partial sums and the
+remainder run are widened to the sums' width: numpy widens a whole int16
+chunk through a buffered cast that costs more than its add and abs.  Row
+masks are int64, so at most 63 rows are enumerated: `exact_row_limit`
+caps the oracle limit there, and `disc` and the density decrement read it
+too.
 
 Both signs of the rectangle oracle come from one pass.  With A(X) =
 sum_j |s_j(X)| and the row total t(X) = sum_j s_j(X), max(s, 0) = (s +
@@ -122,6 +128,7 @@ from .rng import STREAM_SEARCH, generator
 
 _CHUNK_BITS = 18
 _INT16_MAX = 32767  # the largest magnitude whose abs is an int16
+_UINT16_MAX = 65535  # the largest sum of a uint16 run
 _INT32_MAX_MN = 46340  # the largest mn with (mn)^2 < 2^31
 _MASK_BITS = 63  # row masks are int64
 
@@ -325,21 +332,27 @@ def _option_table(steps: np.ndarray, radices: list[int], base) -> np.ndarray:
 
 
 def _widths(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
-            base=0) -> tuple[type, type]:
-    """(lane, accumulator) integer widths of a scan of the given classes.
+            base=0) -> tuple[type, type, int | None]:
+    """(lane, accumulator, run) integer widths of a scan of the given
+    classes.
 
     A stored value (table, chunk or score block entry) is base plus a sum
     of score rows of distinct rows of the classes, so at column j it is at
-    most |base_j| + sum_i |rows_ij| in magnitude: the lanes are int16 when
-    that bound is at most 32767 over every column (so abs cannot wrap) and
-    the accumulator width otherwise.  Column sums and everything derived
-    from them are in the accumulator, int32 when mn <= 46340 and int64
-    otherwise (module docstring).
+    most B_j = |base_j| + sum_i |rows_ij| in magnitude: the lanes are int16
+    when max B_j is at most 32767 (so abs cannot wrap) and the accumulator
+    width otherwise.  Column sums and everything derived from them are in
+    the accumulator, int32 when mn <= 46340 and int64 otherwise (module
+    docstring).  In int16 lanes an abs is at most max B_j and reads
+    unchanged as a uint16, so any run of 65535 // max B_j of them (at least
+    2, capped at the number of columns) sums exactly in uint16: run is that
+    length, and None for wider lanes.
     """
     acc = np.int32 if M.m * M.n <= _INT32_MAX_MN else np.int64
     members = [i for c in classes for i in c]
-    bound = (np.abs(base) + np.abs(rows[members]).sum(axis=0)).max()
-    return (np.int16 if bound <= _INT16_MAX else acc), acc
+    bound = int((np.abs(base) + np.abs(rows[members]).sum(axis=0)).max())
+    if bound > _INT16_MAX:
+        return acc, acc, None
+    return np.int16, acc, min(_UINT16_MAX // max(bound, 1), rows.shape[1])
 
 
 def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
@@ -358,10 +371,11 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
     the score row of the chunk's high half plus base (a score row, or 0),
     read from a table of the high halves built by the same replication,
     low, high and the tables are in the scan's lanes and every sum in its
-    accumulator (`_widths`).  values(low, high, out, acc) returns one array
-    per objective with one int per vector; out is a scratch array of low's
-    shape and lanes that it may overwrite, reused by every chunk, and acc
-    the accumulator dtype.  With totals, values also gets high_total =
+    accumulator (`_widths`).  values(low, high, out, acc, run) returns one
+    array per objective with one int per vector; out is a scratch array of
+    low's shape and lanes that it may overwrite, reused by every chunk, acc
+    the accumulator dtype and run the uint16 run length of the abs values
+    (`_abs_sum`).  With totals, values also gets high_total =
     sum_j high[j] and low_totals[t] = sum_j low[j, t], from scalar tables
     in the accumulator that only such a scan builds.
 
@@ -372,7 +386,7 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
     taken in blocks that share their top classes, and each block gets a
     table of its own.
     """
-    lane, acc = _widths(M, rows, classes, base)
+    lane, acc, run = _widths(M, rows, classes, base)
     counted = row_size is not None
     if counted:
         # a class is one step per row, its count c_k its first c_k rows
@@ -447,7 +461,7 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
             wins = []
             for vals in values(chunk, highs[:, h],
                                scratch[:chunk.size].reshape(chunk.shape),
-                               acc, *row_totals):
+                               acc, run, *row_totals):
                 idx = int(vals.argmax())
                 wins.append((int(vals[idx]),
                              high_key | int(lo_keys[part][idx])))
@@ -467,10 +481,25 @@ def _row_scores(M: BinaryMatrix) -> np.ndarray:
     return M.m * M.n * M.int_entries() - M.ones
 
 
-def _abs_sum(low, high, out, acc) -> np.ndarray:
-    """sum_j |low[j, t] + high[j]| for every t, summed in acc."""
+def _abs_sum(low, high, out, acc, run) -> np.ndarray:
+    """sum_j |low[j, t] + high[j]| for every t, summed in acc.
+
+    With a run length (int16 lanes, `_widths`) the abs values are summed
+    in uint16 over runs of that many columns, and only the partial sums
+    are widened to acc: numpy's widening sum of int16 goes through a
+    buffered cast that costs more than the add and the abs together.
+    """
     np.add(low, high[:, None], out=out)
-    return np.abs(out, out=out).sum(axis=0, dtype=acc)
+    np.abs(out, out=out)
+    if run is None:
+        return out.sum(axis=0, dtype=acc)
+    magnitudes = out.view(np.uint16)
+    whole = len(out) - len(out) % run
+    sums = magnitudes[:whole].reshape(-1, run, out.shape[1]).sum(
+        axis=1, dtype=np.uint16).sum(axis=0, dtype=acc)
+    if whole < len(out):
+        sums += magnitudes[whole:].sum(axis=0, dtype=np.uint16)
+    return sums
 
 
 def _rect_of_mask(M: BinaryMatrix, sign: str, best: tuple[int, int],
@@ -504,14 +533,14 @@ def best_rect_pair(M: BinaryMatrix,
 
     parts = []
 
-    def doubled_parts(low, high, out, acc, high_total, low_totals):
+    def doubled_parts(low, high, out, acc, run, high_total, low_totals):
         # 2P = A + t and 2N = A - t in the accumulator, into one buffer
         # pair made for the first chunk (every chunk has the same length):
         # both are at most (mn)^2 / 2 (module docstring)
         if not parts:
             parts.extend(np.empty((2, low.shape[1]), dtype=acc))
         two_p, two_n = parts
-        A = _abs_sum(low, high, out, acc)
+        A = _abs_sum(low, high, out, acc, run)
         np.add(low_totals, high_total, out=two_n)
         np.add(A, two_n, out=two_p)
         np.subtract(A, two_n, out=two_n)
@@ -564,7 +593,7 @@ def best_half_rect(M: BinaryMatrix, sign: str,
     _require_oracle_size(M.m, cfg)
     top = M.n - col_size
 
-    def largest(low, high, out, acc):
+    def largest(low, high, out, acc, run):
         # a fresh array: numpy partitions it faster than the scratch buffer
         scores = low + high[:, None]
         scores.partition(top, axis=0)
@@ -595,8 +624,8 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
     _require_oracle_size(M.m, cfg)
     rows = _row_scores(M)
 
-    def signed_total(low, high, out, acc):
-        return (_abs_sum(low, high, out, acc),)
+    def signed_total(low, high, out, acc, run):
+        return (_abs_sum(low, high, out, acc, run),)
 
     # the high halves start from -s([m]), so high is 2 s(high half) - s([m]);
     # the last class holds row m-1, which the smallest optimum leaves out

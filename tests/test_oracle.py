@@ -1,5 +1,6 @@
 """Exact discrepancy oracle: values, optima, invariants, tie-breaking."""
 
+import contextlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -384,14 +385,19 @@ def int16_boundary_input(m: int, n: int, ones: int) -> BinaryMatrix:
 
 @pytest.mark.parametrize("m, n, ones, rect_bound, disc0_bound", [
     (7, 1000, 4681, 32767, 88939), (8, 1000, 4096, 32768, 90112),
-    (3, 2000, 4681, 14043, 32767), (6, 400, 2048, 12288, 32768)])
+    (3, 2000, 4681, 14043, 32767), (6, 400, 2048, 12288, 32768),
+    (5, 1000, 4369, 21845, 56797)])
 def test_oracles_exact_at_the_int16_boundary(m, n, ones, rect_bound,
                                              disc0_bound):
     # the largest magnitude a stored value can take, max_j |base_j| +
     # sum_i |step_ij|, is exactly 32767 (int16 lanes) or 32768 (int32
     # lanes, since |-32768| wraps in int16) for the rectangle scans or the
     # relaxation's; on the first two the whole row set stores -32767 and
-    # -32768 on the zero columns and is the minimum rectangle
+    # -32768 on the zero columns and is the minimum rectangle.  On the
+    # last the rectangle scans sum their uint16 abs values in runs of
+    # 65535 // 21845 = 3 columns, and 1000 = 3 * 333 + 1 leaves one
+    # remainder row: a run of zero columns of the whole row set, the
+    # minimum rectangle, sums to exactly 65535
     M = int16_boundary_input(m, n, ones)
     assert 2 * M.ones >= M.m * M.n
     scores = M.m * M.n * M.int_entries() - M.ones
@@ -408,7 +414,7 @@ def test_oracles_exact_at_the_int16_boundary(m, n, ones, rect_bound,
     assert scanned_lanes(lambda: pair.append(best_rect_pair(M))) \
         == lanes(rect_bound)
     assert pair == [rowwise_best_rect_pair(M)]
-    if rect_bound >= 32767:
+    if rect_bound in (32767, 32768, 21845):
         assert pair[0][1].X == tuple(range(m))
     relaxed = []
     assert scanned_lanes(lambda: relaxed.append(disc0_plus(M))) \
@@ -423,12 +429,18 @@ def test_oracles_exact_at_the_int16_boundary(m, n, ones, rect_bound,
                                                    n // 2)]
 
 
-@pytest.mark.parametrize("m, n", [(18, 18), (19, 19), (20, 20), (21, 21),
-                                  (22, 22), (20, 40), (26, 26)])
-def test_disc_scans_in_int16_lanes(m, n):
+@pytest.mark.parametrize("m, n, run", [
+    pytest.param(m, n, run, id=f"{m}-{n}") for m, n, run in [
+        (18, 18, 18), (19, 19, 18), (20, 20, 16), (21, 21, 14),
+        (22, 22, 12), (20, 40, 8), (26, 26, 7)]])
+def test_disc_scans_in_int16_lanes(m, n, run):
     # the disc shapes of perfbench's small_n workload, and the oracle
     # limit, must not silently widen: sum_i |score_ij| is at most
-    # m * mn = 17576 at 26 x 26, whatever the density
+    # m * mn = 17576 at 26 x 26, whatever the density.  The abs values
+    # are summed in uint16 runs of 65535 // max_j sum_i |score_ij|
+    # columns, at most n: 18 x 18 (bound 2976) folds all 18 columns in
+    # one run, 19 x 19 (bound 3454) one run of 18 and one remainder row,
+    # and 26 x 26 (bound 8908) runs of 7
     widths = []
     scan = oracle._scan
 
@@ -439,7 +451,7 @@ def test_disc_scans_in_int16_lanes(m, n):
 
     with patch.object(oracle, "_scan", recording):
         best_rect_pair(random_dense(m, n, "1/2", seed=m + n))
-    assert widths == [(np.int16, np.int32)]
+    assert widths == [(np.int16, np.int32, run)]
 
 
 def test_oracle_memory_bounded_on_wide_matrix():
@@ -504,11 +516,21 @@ def small_wide_matrices(draw):
 
 
 def widths():
-    """Patches for the three scan widths: the real rule (int16 lanes and
-    int32 sums on these inputs), int32 throughout and int64 throughout."""
-    return [patch.multiple(oracle, _INT16_MAX=lanes, _INT32_MAX_MN=sums)
-            for lanes, sums in ((oracle._INT16_MAX, oracle._INT32_MAX_MN),
-                                (-1, oracle._INT32_MAX_MN), (-1, 0))]
+    """Patches for four scan widths: the real rule (int16 lanes and int32
+    sums on these inputs, their abs values summed in one uint16 run), the
+    same with uint16 runs of 2 (so several runs and odd remainders; any
+    run no longer than the real one is exact), int32 throughout and int64
+    throughout."""
+    real = oracle._widths
+
+    def runs_of_two(*args):
+        lane, acc, run = real(*args)
+        return lane, acc, run and min(run, 2)
+
+    return [contextlib.nullcontext(),
+            patch.object(oracle, "_widths", runs_of_two),
+            patch.object(oracle, "_INT16_MAX", -1),
+            patch.multiple(oracle, _INT16_MAX=-1, _INT32_MAX_MN=0)]
 
 
 @given(small_wide_matrices(), st.sampled_from([oracle._CHUNK_BITS, 4]),
