@@ -38,7 +38,7 @@ which they differ lies in the highest class in which they differ.
   canonical mask among the optimal count vectors.  prod_k (s_k + 1) <=
   2^m count vectors are scanned instead of C(m, row size) row sets.
 
-One split-table scan serves all three oracles.  The first classes index a
+One split-table scan (`_scan`) serves all three oracles.  The first classes index a
 table of the scores of all their options (a whole class in or out, or a
 count), the next ones a table of the score rows of the high halves, both
 built once by replication (one add per row or class: a class of s_k rows
@@ -99,6 +99,28 @@ the rows X, mn * s_j = (mn - |M|) c_j - |M| z_j, so P <= (mn - |M|) |M|
 and likewise N <= |M| (mn - |M|), and 2P, 2N <= (mn)^2 / 2.  They are
 written in place into one pair of chunk-sized buffers in the sums' width.
 
+The rectangle oracle skips the unions that cannot win (`_bounded_scan`).
+Split a union into a low half a (of the first classes) and a high half
+b: max(0, x + y) <= max(0, x) + max(0, y) in every column, so 2P(a u b)
+<= 2P(a) + 2P(b) and 2N(a u b) <= 2N(a) + 2N(b), each term A +- t of that
+half alone.  With the halves of each side sorted by their own part, one
+order per sign, the pairs whose bound is at least the best value found
+so far (the incumbent) form a staircase, measured by one searchsorted.
+A corner tile of the best halves of each sign gives the first incumbent,
+and each sign's staircase is then evaluated best first, in tiles of at
+most a chunk, as the incumbent rises.  These orders are not mask orders,
+so an equal value goes to the smaller class mask explicitly, and every
+result is the dense scan's.  On random 18 to 26 sided inputs the tiles
+hold 0.4 to 13 % of the 2^K unions.  The dense scan runs unchanged on
+grids of at most four chunks (every input with at most 16 columns), and
+when the staircases after the corner still cover half the grid: on the
+identity, whose halves are positive on disjoint columns, and on inputs
+hundreds of columns wide, where the bound is loose.  The relaxation and
+the half rectangle keep the dense scan.  The relaxation's triangle bound
+still admits 17 to 68 % of its vectors against the optimum itself on
+random 16 to 20 sided inputs, and the half rectangle pairs only halves
+whose counts add up to the row size, which this staircase does not model.
+
 The relaxation oracle disc0_plus scans half the sign vectors: (x, y) and
 (-x, -y) have the same value, so the complement of an optimal row set is
 optimal too, and of the two exactly one leaves row m-1 out.  The smallest
@@ -131,6 +153,8 @@ _INT16_MAX = 32767  # the largest magnitude whose abs is an int16
 _UINT16_MAX = 65535  # the largest sum of a uint16 run
 _INT32_MAX_MN = 46340  # the largest mn with (mn)^2 < 2^31
 _MASK_BITS = 63  # row masks are int64
+_CORNER = 64  # the most halves on a side of the bounded scan's first tile
+_DENSE_BITS = 2  # grids of at most 2^_DENSE_BITS chunks are scanned densely
 
 
 @dataclass(frozen=True)
@@ -396,8 +420,7 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
     else:
         # a class is one step, taken whole or left out
         radices = [1] * len(classes)
-        sizes = np.array([len(c) for c in classes], dtype=np.int64)
-        steps = (rows[[c[-1] for c in classes]] * sizes[:, None]).astype(lane)
+        steps = _class_steps(rows, classes, lane)
     ends = list(itertools.accumulate(radices, initial=0))
     chunk_size = 1 << max(0, _CHUNK_BITS - (rows.shape[1] - 1).bit_length())
 
@@ -470,9 +493,14 @@ def _scan(M: BinaryMatrix, rows: np.ndarray, classes: list[list[int]],
                 new if new[0] > old[0] or new[0] == old[0] and new[1] < old[1]
                 else old for old, new in zip(best, wins)]
     if not counted:
-        best = [(val, sum(1 << i for k, c in enumerate(classes)
-                          if key >> k & 1 for i in c)) for val, key in best]
+        best = [(val, _class_rows(classes, key)) for val, key in best]
     return best
+
+
+def _class_rows(classes: list[list[int]], key: int) -> int:
+    """The row mask of the union of the classes in the class mask key."""
+    return sum(1 << i for k, c in enumerate(classes) if key >> k & 1
+               for i in c)
 
 
 def _row_scores(M: BinaryMatrix) -> np.ndarray:
@@ -482,20 +510,21 @@ def _row_scores(M: BinaryMatrix) -> np.ndarray:
 
 
 def _abs_sum(low, high, out, acc, run) -> np.ndarray:
-    """sum_j |low[j, t] + high[j]| for every t, summed in acc.
+    """sum_j |low + high| over the first axis (column j), low and high
+    broadcast into out, summed in acc.
 
     With a run length (int16 lanes, `_widths`) the abs values are summed
     in uint16 over runs of that many columns, and only the partial sums
     are widened to acc: numpy's widening sum of int16 goes through a
     buffered cast that costs more than the add and the abs together.
     """
-    np.add(low, high[:, None], out=out)
+    np.add(low, high, out=out)
     np.abs(out, out=out)
     if run is None:
         return out.sum(axis=0, dtype=acc)
     magnitudes = out.view(np.uint16)
     whole = len(out) - len(out) % run
-    sums = magnitudes[:whole].reshape(-1, run, out.shape[1]).sum(
+    sums = magnitudes[:whole].reshape(-1, run, *out.shape[1:]).sum(
         axis=1, dtype=np.uint16).sum(axis=0, dtype=acc)
     if whole < len(out):
         sums += magnitudes[whole:].sum(axis=0, dtype=np.uint16)
@@ -513,6 +542,159 @@ def _rect_of_mask(M: BinaryMatrix, sign: str, best: tuple[int, int],
                      value=Fraction(val if sign == "+" else -val, M.m * M.n))
 
 
+def _class_steps(rows: np.ndarray, classes: list[list[int]],
+                 lane) -> np.ndarray:
+    """The score row of each whole class: a row's times the class size."""
+    sizes = np.array([len(c) for c in classes], dtype=np.int64)
+    return (rows[[c[-1] for c in classes]] * sizes[:, None]).astype(lane)
+
+
+def _doubled_parts():
+    """The objective of a dense rectangle scan: 2P = A + t and 2N = A - t
+    in the accumulator, written into one buffer pair made for the first
+    chunk (every chunk has the same length); both are at most (mn)^2 / 2
+    (module docstring)."""
+    parts = []
+
+    def doubled_parts(low, high, out, acc, run, high_total, low_totals):
+        if not parts:
+            parts.extend(np.empty((2, low.shape[1]), dtype=acc))
+        two_p, two_n = parts
+        A = _abs_sum(low, high[:, None], out, acc, run)
+        np.add(low_totals, high_total, out=two_n)
+        np.add(A, two_n, out=two_p)
+        np.subtract(A, two_n, out=two_n)
+        return two_p, two_n
+
+    return doubled_parts
+
+
+def _pair_parts(lo, hi, out, acc, run) -> tuple[np.ndarray, np.ndarray]:
+    """2P and 2N of the union of every half in lo with every half in hi,
+    each (score table, row totals), one row per half of lo: a tile of the
+    bounded scan, added into out of shape (n, |lo|, |hi|)."""
+    (lt, ltot), (ht, htot) = lo, hi
+    A = _abs_sum(lt[:, :, None], ht[:, None, :], out, acc, run)
+    t = ltot[:, None] + htot
+    return A + t, A - t
+
+
+def _bounded_scan(M: BinaryMatrix, rows: np.ndarray,
+                  classes: list[list[int]]) -> list[tuple[int, int]]:
+    """(2P, row mask) and (2N, row mask): for each sign the smallest row
+    mask with the largest doubled part over all unions of the classes, as
+    `_scan` finds them with `_doubled_parts`, from the staircase of unions
+    whose bound reaches the incumbent (module docstring).
+
+    ceil(K/2) classes make the low halves and the rest the high halves,
+    at most a chunk of halves a side; classes left over are the top
+    classes of an outer loop of blocks, each with its own high table.  The
+    first block's corner tile takes the best 1/8 of each side, at most 64
+    x 64 and a chunk of pairs.  A tile is the next rows that need more
+    than half the columns of the first, at most a chunk of pairs.
+    """
+    lane, acc, run = _widths(M, rows, classes)
+    n = rows.shape[1]
+    chunk_size = 1 << max(0, _CHUNK_BITS - (n - 1).bit_length())
+    side = chunk_size.bit_length() - 1
+    if len(classes) <= side + _DENSE_BITS:
+        return _scan(M, rows, classes, _doubled_parts(), totals=True)
+    steps = _class_steps(rows, classes, lane)
+    low = min((len(classes) + 1) // 2, side)
+    mid = min(len(classes) - low, side)
+    scratch = np.empty(chunk_size * n, dtype=lane)
+    best = {"+": (0, 0), "-": (0, 0)}  # the empty union: both parts 0
+
+    def halves(table, keys):
+        # (table, totals, keys) of the halves, and per sign their order of
+        # descending part with the parts in that order, in int64
+        A = _abs_sum(table, 0, scratch[:table.size].reshape(table.shape),
+                     acc, run)
+        totals = table.sum(axis=0, dtype=acc)
+        orders = {}
+        for sign, part in (("+", A + totals), ("-", A - totals)):
+            part = part.astype(np.int64)
+            order = np.argsort(-part, kind="stable")
+            orders[sign] = (order, part[order])
+        return (table, totals, keys), orders
+
+    def arrange(half, order):
+        return tuple(x[..., order] for x in half)
+
+    def evaluate(lo, hi):
+        # every union of a low half in lo and a high half in hi, each
+        # (table, totals, keys); the longer side innermost
+        if len(lo[1]) > len(hi[1]):
+            lo, hi = hi, lo
+        out = scratch[:n * len(lo[1]) * len(hi[1])].reshape(
+            n, len(lo[1]), len(hi[1]))
+        for sign, part in zip("+-", _pair_parts(lo[:2], hi[:2], out, acc,
+                                                 run)):
+            value = int(part.max())
+            if value >= best[sign][0]:
+                # an equal value goes to the smaller key
+                i, j = np.nonzero(part == value)
+                key = int((lo[2][i] | hi[2][j]).min())
+                if value > best[sign][0] or key < best[sign][1]:
+                    best[sign] = (value, key)
+
+    def reach(sign, lo_parts, hi_parts):
+        # per low half, how many high halves give a bound at least the
+        # incumbent (both sides in descending order of their parts)
+        return np.searchsorted(-hi_parts, lo_parts - best[sign][0],
+                               side="right")
+
+    def staircase(sign, lo, lo_parts, hi, hi_parts, corner):
+        # the rows of the corner start after its columns
+        i = 0
+        while i < len(lo_parts):
+            first, stop = ((corner[1], corner[0]) if i < corner[0]
+                           else (0, len(lo_parts)))
+            width = int(reach(sign, lo_parts[i:i + 1], hi_parts)[0]) - first
+            if width <= 0:
+                if i >= corner[0]:
+                    break
+                i = corner[0]
+                continue
+            wide = reach(sign, lo_parts[i:min(stop, i + chunk_size // width)],
+                         hi_parts) - first > width // 2
+            end = i + max(1, int(wide.sum()))
+            evaluate(tuple(x[..., i:end] for x in lo),
+                     tuple(x[..., first:first + width] for x in hi))
+            i = end
+
+    lo, lo_orders = halves(_option_table(steps[:low], [1] * low, 0),
+                           np.arange(1 << low))
+    top = steps[low + mid:]
+    for t in range(1 << len(top)):
+        base = top[[k for k in range(len(top)) if t >> k & 1]].sum(axis=0)
+        hi, hi_orders = halves(
+            _option_table(steps[low:low + mid], [1] * mid, base),
+            (t << mid | np.arange(1 << mid)) << low)
+        corner = (0, 0)
+        if t == 0:
+            rows_c = max(1, min(_CORNER, (1 << low) >> 3))
+            corner = (rows_c, max(1, min(_CORNER, (1 << mid) >> 3,
+                                         chunk_size // rows_c)))
+            for sign in "+-":
+                evaluate(arrange(lo, lo_orders[sign][0][:corner[0]]),
+                         arrange(hi, hi_orders[sign][0][:corner[1]]))
+            area = 0
+            for sign in "+-":
+                ends = reach(sign, lo_orders[sign][1], hi_orders[sign][1])
+                ends[:corner[0]] -= corner[1]
+                area += int(np.maximum(ends, 0).sum())
+            if 2 * area >= 1 << (low + mid):
+                return _scan(M, rows, classes, _doubled_parts(), totals=True)
+            lo_sorted = {sign: arrange(lo, lo_orders[sign][0])
+                         for sign in "+-"}
+        for sign in "+-":
+            staircase(sign, lo_sorted[sign], lo_orders[sign][1],
+                      arrange(hi, hi_orders[sign][0]), hi_orders[sign][1],
+                      corner)
+    return [(val, _class_rows(classes, key)) for val, key in best.values()]
+
+
 # -- exact oracles ------------------------------------------------------------------
 
 def best_rect_pair(M: BinaryMatrix,
@@ -522,32 +704,17 @@ def best_rect_pair(M: BinaryMatrix,
     Enumerates the unions X of classes of identical rows of the smaller
     side (module docstring); for fixed X the optimal Y is {j : s_j(X) > 0}
     for the maximum and {j : s_j(X) < 0} for the minimum.
-    Both parts come doubled from one add, abs and column sum per chunk,
-    2P = A + t and 2N = A - t (module docstring).  Each sign keeps its own
-    first (smallest) row mask with the largest part, then halves it.
+    Both parts come doubled from one add, abs and column sum per tile,
+    2P = A + t and 2N = A - t (module docstring), and the bounded scan
+    skips the unions that cannot beat the best found so far.  Each sign
+    keeps its own first (smallest) row mask with the largest part, then
+    halves it.
     """
     if M.m > M.n:
         return tuple(Rectangle(X=r.Y, Y=r.X, value=r.value)
                      for r in best_rect_pair(M.transpose(), cfg))
     _require_oracle_size(M.m, cfg)
-
-    parts = []
-
-    def doubled_parts(low, high, out, acc, run, high_total, low_totals):
-        # 2P = A + t and 2N = A - t in the accumulator, into one buffer
-        # pair made for the first chunk (every chunk has the same length):
-        # both are at most (mn)^2 / 2 (module docstring)
-        if not parts:
-            parts.extend(np.empty((2, low.shape[1]), dtype=acc))
-        two_p, two_n = parts
-        A = _abs_sum(low, high, out, acc, run)
-        np.add(low_totals, high_total, out=two_n)
-        np.add(A, two_n, out=two_p)
-        np.subtract(A, two_n, out=two_n)
-        return two_p, two_n
-
-    best = _scan(M, _row_scores(M), _row_classes(M.entries), doubled_parts,
-                 totals=True)
+    best = _bounded_scan(M, _row_scores(M), _row_classes(M.entries))
     return tuple(_rect_of_mask(M, sign, (val // 2, mask))
                  for sign, (val, mask) in zip("+-", best))
 
@@ -625,7 +792,7 @@ def disc0_plus(M: BinaryMatrix, cfg: Config = DEFAULT) -> SignVectorPair:
     rows = _row_scores(M)
 
     def signed_total(low, high, out, acc, run):
-        return (_abs_sum(low, high, out, acc, run),)
+        return (_abs_sum(low, high[:, None], out, acc, run),)
 
     # the high halves start from -s([m]), so high is 2 s(high half) - s([m]);
     # the last class holds row m-1, which the smallest optimum leaves out

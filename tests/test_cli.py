@@ -261,17 +261,27 @@ def test_experiment_eliminates_each_matrix_once(tmp_path, monkeypatch):
 
 
 def test_disc_and_disc_exact_scan_once(tmp_path, capsys, monkeypatch):
-    # both signs of disc come from one pass of the split-table scan
+    # both signs of disc come from one rectangle scan: a bounded scan,
+    # which on a grid of a few chunks hands over to one pass of the dense
+    # split-table scan, and on a random 20 x 20 evaluates its staircase
+    # without one
     calls = []
-    scan = oracle._scan
-    monkeypatch.setattr(oracle, "_scan", lambda *args, **kwargs:
-                        calls.append(args) or scan(*args, **kwargs))
-    path = write_matrix(tmp_path, random_dense(12, 10, "1/2", seed=4))
-    assert run_cli(["disc", path], capsys)[0] == 0
-    assert len(calls) == 1
+    for name in ("_bounded_scan", "_scan"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args, name=name, real=real,
+                            **kwargs: calls.append(name) or real(*args,
+                                                                 **kwargs))
+    for M, scans in ((random_dense(12, 10, "1/2", seed=4),
+                      ["_bounded_scan", "_scan"]),
+                     (random_dense(20, 20, "1/2", seed=4), ["_bounded_scan"])):
+        calls.clear()
+        path = write_matrix(tmp_path, M)
+        assert run_cli(["disc", path], capsys)[0] == 0
+        assert calls == scans
+    calls.clear()
     config = ExperimentConfig.from_file(exp_config(tmp_path))
     run_experiment(config, threads=1)
-    assert len(calls) == 1 + len(config.gens)
+    assert calls == ["_bounded_scan", "_scan"] * len(config.gens)
 
 
 def test_experiment_invalid_config(tmp_path, capsys):

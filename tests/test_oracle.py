@@ -12,9 +12,9 @@ from hypothesis import given, strategies as st
 
 from lowrankdisc import (BinaryMatrix, CapacityError, Rectangle,
                          SignVectorPair, best_half_rect, best_rect,
-                         best_rect_pair, blow_up, disc0_plus, disc_minus,
-                         disc_plus, disc_value, fixtures, heuristic_rect,
-                         oracle, random_dense)
+                         best_rect_pair, blow_up, complement, disc0_plus,
+                         disc_minus, disc_plus, disc_value, fixtures,
+                         heuristic_rect, oracle, random_dense)
 from lowrankdisc.config import DEFAULT
 
 from conftest import random_corpus, small_fixtures
@@ -304,9 +304,9 @@ def test_disc0_full_blowup_scaling():
 
 def scanned_chunks(call) -> list[tuple[int, np.dtype]]:
     """(row masks, lane dtype) of every chunk the objectives of call()'s
-    scans see."""
+    dense scans see and of every tile its bounded scans evaluate."""
     seen = []
-    scan = oracle._scan
+    scan, pair_parts = oracle._scan, oracle._pair_parts
 
     def recording(M, rows, classes, values, *rest, **kwargs):
         def recorded(low, *args):
@@ -314,7 +314,12 @@ def scanned_chunks(call) -> list[tuple[int, np.dtype]]:
             return values(low, *args)
         return scan(M, rows, classes, recorded, *rest, **kwargs)
 
-    with patch.object(oracle, "_scan", recording):
+    def tile(lo, hi, out, *args):
+        parts = pair_parts(lo, hi, out, *args)
+        seen.append((parts[0].size, out.dtype))
+        return parts
+
+    with patch.multiple(oracle, _scan=recording, _pair_parts=tile):
         call()
     return seen
 
@@ -327,6 +332,22 @@ def scanned_masks(call) -> int:
 def scanned_lanes(call) -> set[np.dtype]:
     """The lane dtypes of call()'s scans."""
     return {lanes for _, lanes in scanned_chunks(call)}
+
+
+def scan_widths(call) -> list[tuple[type, type, int | None]]:
+    """The (lane, accumulator, run) widths worked out for call()'s scans,
+    one entry per `_widths` call: a bounded scan works them out once, and
+    again in the dense scan it falls back to."""
+    widths = []
+    real = oracle._widths
+
+    def recording(*args):
+        widths.append(real(*args))
+        return widths[-1]
+
+    with patch.object(oracle, "_widths", recording):
+        call()
+    return widths
 
 
 @pytest.mark.parametrize("chunk_bits", [oracle._CHUNK_BITS, 2])
@@ -397,7 +418,9 @@ def test_oracles_exact_at_the_int16_boundary(m, n, ones, rect_bound,
     # last the rectangle scans sum their uint16 abs values in runs of
     # 65535 // 21845 = 3 columns, and 1000 = 3 * 333 + 1 leaves one
     # remainder row: a run of zero columns of the whole row set, the
-    # minimum rectangle, sums to exactly 65535
+    # minimum rectangle, sums to exactly 65535.  The rectangle oracle is
+    # run with the default chunks (a dense scan: at most 8 classes) and
+    # with 2^12-score chunks, where its bounded scan tiles the grid
     M = int16_boundary_input(m, n, ones)
     assert 2 * M.ones >= M.m * M.n
     scores = M.m * M.n * M.int_entries() - M.ones
@@ -410,12 +433,17 @@ def test_oracles_exact_at_the_int16_boundary(m, n, ones, rect_bound,
     def lanes(bound):
         return {np.dtype(np.int16 if bound <= 32767 else np.int32)}
 
-    pair = []
-    assert scanned_lanes(lambda: pair.append(best_rect_pair(M))) \
-        == lanes(rect_bound)
-    assert pair == [rowwise_best_rect_pair(M)]
+    expected = rowwise_best_rect_pair(M)
     if rect_bound in (32767, 32768, 21845):
-        assert pair[0][1].X == tuple(range(m))
+        assert expected[1].X == tuple(range(m))
+    for chunk_bits in (oracle._CHUNK_BITS, 12):
+        pair = []
+        with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
+            widths = scan_widths(lambda: pair.append(best_rect_pair(M)))
+            assert scanned_lanes(lambda: best_rect_pair(M)) \
+                == lanes(rect_bound)
+        assert {np.dtype(lane) for lane, _, _ in widths} == lanes(rect_bound)
+        assert pair == [expected]
     relaxed = []
     assert scanned_lanes(lambda: relaxed.append(disc0_plus(M))) \
         == lanes(disc0_bound)
@@ -441,16 +469,8 @@ def test_disc_scans_in_int16_lanes(m, n, run):
     # columns, at most n: 18 x 18 (bound 2976) folds all 18 columns in
     # one run, 19 x 19 (bound 3454) one run of 18 and one remainder row,
     # and 26 x 26 (bound 8908) runs of 7
-    widths = []
-    scan = oracle._scan
-
-    def recording(M, rows, classes, values, row_size=None, base=0,
-                  **kwargs):
-        widths.append(oracle._widths(M, rows, classes, base))
-        return scan(M, rows, classes, values, row_size, base, **kwargs)
-
-    with patch.object(oracle, "_scan", recording):
-        best_rect_pair(random_dense(m, n, "1/2", seed=m + n))
+    widths = scan_widths(
+        lambda: best_rect_pair(random_dense(m, n, "1/2", seed=m + n)))
     assert widths == [(np.int16, np.int32, run)]
 
 
@@ -609,6 +629,99 @@ def test_disc0_equals_naive_on_both_orientations(M, chunk_bits):
             assert disc0_plus(M) == expected
 
 
+@st.composite
+def rect_scan_inputs(draw):
+    """Wide 0/1 matrices up to 12 x 14, often 9 rows or more: random bits
+    at a density of 1/8 to 7/8 with some rows copied from earlier ones, or
+    the identity, all-zero or all-one fixture."""
+    kind = draw(st.sampled_from(["bits", "identity", "all_zeros",
+                                 "all_ones"]))
+    m = draw(st.integers(1, 12) | st.integers(9, 12))
+    n = draw(st.integers(m, 14))
+    if kind == "identity":
+        return fixtures(f"identity({m})")
+    if kind != "bits":
+        return fixtures(f"{kind}({m},{n})")
+    eighths = draw(st.integers(1, 7))
+    cells = draw(st.lists(st.integers(0, 7), min_size=m * n, max_size=m * n))
+    E = (np.array(cells).reshape(m, n) < eighths).astype(np.uint8)
+    sources = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    return BinaryMatrix(E[[min(i, s) for i, s in enumerate(sources)]])
+
+
+@given(rect_scan_inputs(), st.sampled_from([oracle._CHUNK_BITS, 4, 6]))
+def test_bounded_scan_equals_dense_scan_and_rowwise(M, chunk_bits):
+    # the bounded scan keeps the dense scan's values and smallest-mask
+    # ties.  At the default chunks these inputs are scanned densely at
+    # once; with 4 or 6 chunk bits a chunk holds 1 to 32 halves, so the
+    # classes split into low, high and top blocks: staircases of several
+    # tiles, blocks of one union that the corner covers, and grids where
+    # the bound does not pay and the dense scan follows the corner
+    rows, classes = oracle._row_scores(M), oracle._row_classes(M.entries)
+    with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
+        bounded = oracle._bounded_scan(M, rows, classes)
+        pair = best_rect_pair(M)
+    assert bounded == oracle._scan(M, rows, classes, oracle._doubled_parts(),
+                                   totals=True)
+    assert pair == rowwise_best_rect_pair(M)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0, 1, 1, 1], [1, 0, 0, 1, 1], [0, 0, 0, 1, 1], [1, 0, 0, 1, 0]],
+    [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 1, 1, 0, 1]],
+    [[1, 0, 1, 1, 0, 1], [0, 0, 1, 1, 0, 0], [0, 0, 1, 1, 0, 1],
+     [0, 0, 0, 1, 1, 0]]])
+def test_bounded_scan_keeps_the_smaller_of_two_optimal_unions(rows):
+    # each input has, for one sign, two optimal unions of its four one-row
+    # classes, one of them the other plus a class (class masks 7 and 15,
+    # 10 and 11, 14 and 15).  With 4 chunk bits the low and high halves
+    # hold a class each and the other two classes make the top blocks, so
+    # the two unions lie in different blocks, and the second one's bound
+    # can equal the incumbent the first one set
+    M = BinaryMatrix(np.array(rows, dtype=np.uint8))
+    with patch.object(oracle, "_CHUNK_BITS", 4):
+        pair = best_rect_pair(M)
+    assert pair == rowwise_best_rect_pair(M)
+
+
+@given(small_matrices(), st.sampled_from([oracle._CHUNK_BITS, 4]))
+def test_rect_pair_of_the_complement_swaps_the_signs(M, chunk_bits):
+    # disc of J - M is -disc of M on every rectangle, with the same
+    # classes of identical rows: the max of the complement is the min of
+    # M, on the same rectangle (smallest mask first), and the other way
+    with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
+        plus, minus = best_rect_pair(M)
+        flipped = best_rect_pair(complement(M))
+    assert flipped == (Rectangle(X=minus.X, Y=minus.Y, value=-minus.value),
+                       Rectangle(X=plus.X, Y=plus.Y, value=-plus.value))
+
+
+@given(small_matrices(), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([oracle._CHUNK_BITS, 4]))
+def test_rect_pair_of_a_blow_up_scales_by_ab(M, a, b, chunk_bits):
+    # identical rows (and columns) go in or out together, so every a x b
+    # blow-up has a times b the values of M
+    with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
+        values = [r.value for r in best_rect_pair(blow_up(M, a, b))]
+    assert values == [a * b * r.value for r in best_rect_pair(M)]
+
+
+@pytest.mark.parametrize("m, n", [(18, 18), (20, 20), (22, 22), (20, 40)])
+def test_bounded_scan_skips_most_of_the_grid(m, n):
+    # on random disc inputs of the sizes of perfbench's small_n workload
+    # the bound leaves a small staircase: these evaluate 0.4 to 13 % of
+    # the 2^m unions, corner tiles included, and a bound that stopped
+    # pruning would evaluate them all (or fall back to the dense scan)
+    M = random_dense(m, n, "1/2", seed=m + n)
+    rows, classes = oracle._row_scores(M), oracle._row_classes(M.entries)
+    found = []
+    masks = scanned_masks(
+        lambda: found.append(oracle._bounded_scan(M, rows, classes)))
+    assert masks <= 1 << (m - 2)
+    assert found == [oracle._scan(M, rows, classes, oracle._doubled_parts(),
+                                  totals=True)]
+
+
 def test_blow_up_scans_count_vectors_not_row_sets():
     # a 12 x 12 blow-up of a 4 x 4 base with interleaved rows has at most 4
     # classes of identical rows, so the scans see at most 2^4 unions and
@@ -618,7 +731,7 @@ def test_blow_up_scans_count_vectors_not_row_sets():
     rows = np.random.default_rng(40).permutation(np.arange(12) % 4)
     M = BinaryMatrix(base.entries[rows][:, np.arange(12) % 4])
     sizes = np.unique(M.entries, axis=0, return_counts=True)[1]
-    assert scanned_masks(lambda: best_rect_pair(M)) == 1 << len(sizes)
+    assert scanned_masks(lambda: best_rect_pair(M)) <= 1 << len(sizes)
     assert scanned_masks(lambda: disc0_plus(M)) == 1 << (len(sizes) - 1)
     assert scanned_masks(lambda: best_half_rect(M, "-")) < np.prod(sizes + 1)
     assert best_rect_pair(M) == rowwise_best_rect_pair(M)
