@@ -110,13 +110,22 @@ def cmd_mono(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
-    rows = run_experiment(config, threads=args.threads)
+    try:
+        config = ExperimentConfig.from_file(args.config)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
+    if args.threads < 1:
+        raise ValueError(
+            f"threads must be a positive integer, got {args.threads!r}")
+    rows = run_experiment(config)
     csv_text = render_csv(rows)
     out_path = args.out or config.output
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(csv_text)
     statuses = [row.status for row in rows]
@@ -160,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("config")
     p_exp.add_argument("--out", help="CSV output path (default: config or stdout)")
     p_exp.add_argument("--threads", type=int, default=1,
-                       help="worker threads (default 1)")
+                       help="ignored: bundles run one after another on one "
+                            "thread; the flag goes once perfbench stops "
+                            "passing it")
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 

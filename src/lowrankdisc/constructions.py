@@ -140,6 +140,11 @@ class GenSpec:
         if self.kind not in GEN_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}; "
                              f"choose from {GEN_KINDS}")
+        for name in ("r", "m", "n"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 1):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}")
         if self.p is not None:
             object.__setattr__(self, "p", _as_fraction(self.p))
             if not 0 <= self.p <= 1:

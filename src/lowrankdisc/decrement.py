@@ -11,7 +11,7 @@ or exhibits a permutation submatrix larger than the rank, which is
 impossible when the rank bound is genuine.
 
 All randomness is derived from one seed through counter-based streams, so
-traces are reproducible across runs and worker counts.
+traces are reproducible across runs.
 """
 
 from __future__ import annotations

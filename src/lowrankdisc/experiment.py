@@ -1,8 +1,8 @@
 """Experiment harness: run operations over generated matrices, emit CSV.
 
-Rows are written in configuration order (generators x seeds x ops) no
-matter how the worker pool schedules them, and every computed value is a
-pure function of (generator, seed, config), so reports are reproducible.
+Bundles run one after another on the calling thread, and rows are written
+in configuration order (generators x seeds x ops).  Every computed value is
+a pure function of (generator, seed, config), so reports are reproducible.
 Wall-clock timing is the one physical measurement; set "timing": false in
 the config to zero that column when byte-identical reports are required.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -45,6 +44,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.gens:
             raise ValueError("config needs at least one generator")
+        if not isinstance(self.ops, list):
+            raise ValueError(
+                f"ops must be a list of op names, got {self.ops!r}")
         if not self.ops:
             raise ValueError("config needs at least one op")
         if not self.seeds:
@@ -63,14 +65,23 @@ class ExperimentConfig:
         if type(self.timing) is not bool:
             raise ValueError(
                 f"timing must be true or false, got {self.timing!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(
+                f"output must be a file path string, got {self.output!r}")
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, got {obj!r}")
         extra = set(obj) - {f.name for f in fields(cls) if f.init}
         if extra:
             raise ValueError(f"unknown config fields {sorted(extra)}")
-        gens = [GenSpec.from_json_obj(g) for g in obj.get("gens", [])]
-        return cls(gens=gens, ops=list(obj.get("ops", [])),
+        gens = obj.get("gens", [])
+        if not isinstance(gens, list):
+            raise ValueError(
+                f"gens must be a list of generator specs, got {gens!r}")
+        return cls(gens=[GenSpec.from_json_obj(g) for g in gens],
+                   ops=obj.get("ops", []),
                    seeds=obj.get("seeds", []),
                    output=obj.get("output"),
                    oracle_limit=obj.get("oracle_limit"),
@@ -170,26 +181,11 @@ def round_ms(start: float) -> int:
     return int(round((time.perf_counter() - start) * 1000.0))
 
 
-def run_experiment(config: ExperimentConfig,
-                   threads: int = 1) -> list[ReportRow]:
-    """The report rows of every (generator, seed) bundle, in config order.
-
-    threads > 1 runs the bundles on a pool of that many threads; the rows
-    do not depend on it.  Raises ValueError for a count below 1.
-    """
-    if type(threads) is not int or threads < 1:
-        raise ValueError(
-            f"threads must be a positive integer, got {threads!r}")
-    tasks = [(gen, seed) for gen in config.gens for seed in config.seeds]
-    if threads == 1:
-        bundles = [_run_bundle(g, s, config.ops, config.cfg, config.timing)
-                   for g, s in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            bundles = list(pool.map(
-                lambda t: _run_bundle(t[0], t[1], config.ops, config.cfg,
-                                      config.timing), tasks))
-    return [row for bundle in bundles for row in bundle]
+def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
+    """The report rows of every (generator, seed) bundle, in config order."""
+    return [row for gen in config.gens for seed in config.seeds
+            for row in _run_bundle(gen, seed, config.ops, config.cfg,
+                                   config.timing)]
 
 
 def render_csv(rows: list[ReportRow]) -> str:

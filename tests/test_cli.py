@@ -231,7 +231,7 @@ def test_experiment_all_ops(tmp_path, capsys):
 
 def test_experiment_rows_in_config_order(tmp_path):
     config = ExperimentConfig.from_file(exp_config(tmp_path, seeds=(1, 2)))
-    rows = run_experiment(config, threads=1)
+    rows = run_experiment(config)
     ids = [r.matrix_id for r in rows]
     assert ids == sorted(ids, key=lambda s: ids.index(s))  # stable
     assert ids[0].startswith("identity(n=8)|seed=1")
@@ -239,12 +239,23 @@ def test_experiment_rows_in_config_order(tmp_path):
     assert ids[2].startswith("blowup_random")
 
 
-def test_experiment_byte_identical_across_threads(tmp_path):
-    config = ExperimentConfig.from_file(
-        exp_config(tmp_path, ops=("disc_exact", "bound", "mono"), seeds=(1, 2)))
-    a = render_csv(run_experiment(config, threads=1))
-    b = render_csv(run_experiment(config, threads=8))
-    assert a == b
+@pytest.mark.parametrize("via_cli", [False, True])
+def test_experiment_runs_every_bundle_on_the_calling_thread(
+        tmp_path, capsys, monkeypatch, via_cli):
+    # --threads is still accepted, and changes nothing
+    import threading
+    import lowrankdisc.experiment as exp
+
+    threads = []
+    real = exp._run_bundle
+    monkeypatch.setattr(exp, "_run_bundle", lambda *args: threads.append(
+        threading.get_ident()) or real(*args))
+    path = exp_config(tmp_path, seeds=(1, 2))
+    if via_cli:
+        assert run_cli(["experiment", path, "--threads", "2"], capsys)[0] == 0
+    else:
+        run_experiment(ExperimentConfig.from_file(path))
+    assert threads == [threading.get_ident()] * 4
 
 
 def test_experiment_eliminates_each_matrix_once(tmp_path, monkeypatch):
@@ -256,7 +267,7 @@ def test_experiment_eliminates_each_matrix_once(tmp_path, monkeypatch):
         (E.shape, E.tobytes())) or eliminate(E, p))
     config = ExperimentConfig.from_file(
         exp_config(tmp_path, ops=("bound", "mono")))
-    run_experiment(config, threads=1)
+    run_experiment(config)
     assert seen and len(seen) == len(set(seen))
 
 
@@ -280,7 +291,7 @@ def test_disc_and_disc_exact_scan_once(tmp_path, capsys, monkeypatch):
         assert calls == scans
     calls.clear()
     config = ExperimentConfig.from_file(exp_config(tmp_path))
-    run_experiment(config, threads=1)
+    run_experiment(config)
     assert calls == ["_bounded_scan", "_scan"] * len(config.gens)
 
 
@@ -309,16 +320,37 @@ def test_experiment_rejects_a_generator_seed(tmp_path, capsys):
     ("eig_tol_factor", 0), ("eig_tol_factor", -1e-10),
     ("eig_tol_factor", float("nan")), ("eig_tol_factor", float("inf")),
     ("timing", "false"), ("timing", 0), ("timing", None), ("seeds", [1.9]),
-    ("seeds", [True]), ("seeds", ["1"]), ("seeds", 3)])
+    ("seeds", [True]), ("seeds", ["1"]), ("seeds", 3), ("gens", 5),
+    ("gens", {"kind": "identity", "n": 4}), ("ops", "bound"), ("output", 5),
+    ("output", ["a.csv"]), ("config", 5), ("config", "abc"),
+    ("config", [])])
 def test_experiment_rejects_mistyped_fields(tmp_path, capsys, field, value):
     # a typed error and exit 1, not a traceback or a silently truthy string
+    # ("config" stands for the whole file; an integer output must not be
+    # opened as a file descriptor)
+    config = {"gens": [{"kind": "identity", "n": 4}], "ops": ["disc_exact"],
+              "seeds": [1]}
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"gens": [{"kind": "identity", "n": 4}],
-                                "ops": ["disc_exact"], "seeds": [1],
-                                field: value}))
+    path.write_text(json.dumps(value if field == "config"
+                               else {**config, field: value}))
     code, out, err = run_cli(["experiment", str(path)], capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and field in err
+    assert err.startswith(f"error: {field} must be ")
+
+
+def test_experiment_reports_an_unreadable_config(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    code, out, err = run_cli(["experiment", path], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read config {path}: ")
+
+
+def test_experiment_reports_an_unwritable_output(tmp_path, capsys):
+    out_path = str(tmp_path / "no" / "such" / "x.csv")
+    code, out, err = run_cli(["experiment", exp_config(tmp_path), "--out",
+                              out_path], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {out_path}: ")
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -387,7 +419,7 @@ def test_experiment_csv_golden_bytes(tmp_path):
     path = exp_config(tmp_path, ops=("disc_exact", "bound", "mono"),
                       seeds=(1,))
     config = ExperimentConfig.from_file(path)
-    got = render_csv(run_experiment(config, threads=2))
+    got = render_csv(run_experiment(config))
     with open(os.path.join(GOLDEN_DIR, "experiment_golden.csv")) as fh:
         assert got == fh.read()
 
@@ -410,7 +442,7 @@ def test_experiment_sandwich_check_fires(tmp_path, monkeypatch):
         "seeds": [1],
         "timing": False,
     })
-    rows = run_experiment(config, threads=1)
+    rows = run_experiment(config)
     bound_rows = [r for r in rows if r.matrix_id.endswith("|bound")]
     assert bound_rows[0].status == "sandwich_violation"
 
@@ -422,7 +454,7 @@ def test_experiment_disc0_op(tmp_path):
         "seeds": [1],
         "timing": False,
     })
-    rows = run_experiment(config, threads=1)
+    rows = run_experiment(config)
     assert rows[0].disc == 2  # exact relaxation optimum for identity(2)
 
 
@@ -433,7 +465,7 @@ def test_experiment_bound_autosquares_rectangular(tmp_path):
         "seeds": [3],
         "timing": False,
     })
-    rows = run_experiment(config, threads=1)
+    rows = run_experiment(config)
     by_op = {r.matrix_id.rsplit("|", 1)[1]: r for r in rows}
     assert by_op["bound"].status == "ok"
     assert by_op["bound"].bound is not None

@@ -108,3 +108,15 @@ def test_genspec_rejects_unknown():
         GenSpec.from_json_obj({"kind": "identity", "weird": 1})
     with pytest.raises(ValueError):
         GenSpec(kind="identity").build()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", "8"), ("r", 2.0), ("n", "4"), ("n", 2.5), ("n", 0), ("m", -1),
+    ("n", True)])
+def test_genspec_rejects_sizes_that_are_not_positive_integers(field, value):
+    # JSON values arrive unconverted: "4" must not run as 4, nor 2.0 or
+    # "8" reach numpy
+    spec = {"kind": "blowup_random", "r": 2, "p": "1/2", "m": 8, "n": 8}
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be a positive integer"):
+        GenSpec.from_json_obj({**spec, field: value})

@@ -706,6 +706,24 @@ def test_rect_pair_of_a_blow_up_scales_by_ab(M, a, b, chunk_bits):
     assert values == [a * b * r.value for r in best_rect_pair(M)]
 
 
+@given(small_matrices(), st.sampled_from([oracle._CHUNK_BITS, 4]))
+def test_disc0_plus_of_the_complement_is_unchanged(M, chunk_bits):
+    # J - M - (1 - p) J = -(M - pJ), and x -> -x maps the optimum of one
+    # onto the optimum of the other
+    with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
+        assert disc0_plus(complement(M)).value == disc0_plus(M).value
+
+
+@given(small_matrices(), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([oracle._CHUNK_BITS, 4]))
+def test_disc0_plus_of_a_blow_up_scales_by_ab(M, a, b, chunk_bits):
+    # copies of a row (or column) take the same sign at an optimum, so the
+    # relaxation of an a x b blow-up is a times b that of M
+    with patch.object(oracle, "_CHUNK_BITS", chunk_bits):
+        assert (disc0_plus(blow_up(M, a, b)).value
+                == a * b * disc0_plus(M).value)
+
+
 @pytest.mark.parametrize("m, n", [(18, 18), (20, 20), (22, 22), (20, 40)])
 def test_bounded_scan_skips_most_of_the_grid(m, n):
     # on random disc inputs of the sizes of perfbench's small_n workload
