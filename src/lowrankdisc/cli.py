@@ -8,6 +8,7 @@ corresponding library call.  Exit codes: 0 ok, 2 parse error, 3 capacity,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -117,17 +118,18 @@ def cmd_experiment(args) -> int:
     if args.threads < 1:
         raise ValueError(
             f"threads must be a positive integer, got {args.threads!r}")
-    rows = run_experiment(config)
-    csv_text = render_csv(rows)
     out_path = args.out or config.output
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {out_path}: {exc}") from exc
-    else:
-        sys.stdout.write(csv_text)
+    try:
+        # opened before the first bundle runs, so that a path that cannot
+        # be written fails at once
+        with (open(out_path, "w", encoding="utf-8") if out_path
+              else contextlib.nullcontext(sys.stdout)) as out:
+            rows = run_experiment(config)
+            out.write(render_csv(rows))
+    except OSError as exc:
+        if not out_path:
+            raise
+        raise ValueError(f"cannot write {out_path}: {exc}") from exc
     statuses = [row.status for row in rows]
     if statuses and all(s.startswith("error") for s in statuses):
         return EXIT_ERROR

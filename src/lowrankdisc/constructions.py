@@ -146,6 +146,10 @@ class GenSpec:
                 raise ValueError(
                     f"{name} must be a positive integer, got {value!r}")
         if self.p is not None:
+            if (isinstance(self.p, bool)
+                    or not isinstance(self.p, (Fraction, int, str, float))):
+                raise ValueError(f"p must be a fraction string or a number, "
+                                 f"got {self.p!r}")
             object.__setattr__(self, "p", _as_fraction(self.p))
             if not 0 <= self.p <= 1:
                 raise ValueError(f"p_target {self.p} outside [0, 1]")

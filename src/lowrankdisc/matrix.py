@@ -5,10 +5,12 @@ density-decrement loop) leans on these invariants:
 
   * entries are 0/1, stored dense, immutable after construction;
   * counts (ones, degrees) are integers, densities are Fractions;
-  * rank is exact over the rationals: elimination over GF(p) on the
-    distinct rows and columns, in float64 block updates, gives a lower
-    bound, a p-adic certificate in float64 matmuls proves it is also an
-    upper bound, and the result is memoized on the matrix.
+  * rank is exact over the rationals, computed on the distinct rows and
+    columns and memoized on the matrix: a verified Cholesky factorization
+    of the Gram matrix proves full rank where the smaller side is short;
+    otherwise elimination over GF(p), in float64 block updates, gives a
+    lower bound, and a p-adic lift in float64 matmuls, from whichever side
+    ends first, proves it is also an upper bound.
 """
 
 from __future__ import annotations
@@ -248,9 +250,15 @@ def _pivots_mod_p(E: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return perm[:r], np.array(cols, dtype=np.int64)
 
 
+# Side at or below which `_inverse_mod_p` inverts a block by Gauss-Jordan
+# steps instead of splitting it again.
+_GAUSS_JORDAN = 32
+
+
 def _inverse_mod_p(B: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p of a float64 matrix whose leading principal minors are
-    all nonzero mod p, by 2 x 2 block elimination (no pivoting needed).
+    all nonzero mod p, by 2 x 2 block elimination (no pivoting needed) down
+    to blocks of side `_GAUSS_JORDAN`, which Gauss-Jordan steps invert.
 
     B and every block are balanced residues (`_reduce`), at most p/2 in
     absolute value, so a product sums at most side * p^2/4, and p/2 more
@@ -260,9 +268,8 @@ def _inverse_mod_p(B: np.ndarray, p: int) -> np.ndarray:
     bound = r * p * p / 4 + p / 2
     assert p < 2 ** 20 and bound < min(2 ** 53, p * 2 ** 31), \
         "modulus too large for float64"
-    if r <= 1:
-        return _reduce(np.array([pow(int(b), -1, p) for b in B.flat],
-                                dtype=np.float64).reshape(B.shape), p)
+    if r <= _GAUSS_JORDAN:
+        return _gauss_jordan_mod_p(B, p)
     h = r // 2
     Ai = _inverse_mod_p(B[:h, :h], p)
     T = _reduce(Ai @ B[:h, h:], p)
@@ -276,6 +283,37 @@ def _inverse_mod_p(B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _gauss_jordan_mod_p(B: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of B as `_inverse_mod_p` takes it, by Gauss-Jordan
+    elimination on [B | I] without pivoting: the k-th pivot is the ratio
+    of two consecutive leading principal minors, so it is nonzero mod p.
+
+    Every step scales the pivot row to a pivot of 1 and subtracts its
+    multiples from the other rows, then reduces all to balanced residues:
+    the scaled row is below p^2/2 before its reduction, and every other
+    entry below p^2/4 + p/2 before its own.
+    """
+    r = len(B)
+    A = np.hstack([B, np.eye(r)])
+    for k in range(r):
+        row = _reduce(A[k] * pow(int(A[k, k]), -1, p), p)
+        A -= np.outer(A[:, k], row)
+        A[k] = row
+        _reduce(A, p)
+    return A[:, r:]
+
+
+def _lift_digit(B: np.ndarray, Bi: np.ndarray, A: np.ndarray,
+                rhs: np.ndarray, W: np.ndarray, p: int):
+    """One p-adic digit X of B^-1 rhs: the next rhs (rhs - B X) / p, and
+    (W - A X) / p, or None where p does not divide W - A X."""
+    X = _reduce(Bi @ rhs, p)
+    rhs = (rhs - B @ X) / p
+    W = W - A @ X
+    Q = np.rint(W / p)  # exact quotient iff p divides every entry
+    return rhs, (Q if (Q * p == W).all() else None)
+
+
 def _schur_vanishes(E: np.ndarray, R: np.ndarray, C: np.ndarray,
                     p: int) -> bool:
     """True iff rank(E) over the rationals equals len(R).
@@ -284,14 +322,20 @@ def _schur_vanishes(E: np.ndarray, R: np.ndarray, C: np.ndarray,
     plus the rank of the Schur complement S = E[R', C'] - E[R', C] B^-1
     E[R, C'] on the other rows R' and columns C'.  det(B) * S holds
     bordered 0/1 minors, each at most H = (r+1)^((r+1)/2) in absolute
-    value.  X = B^-1 E[R, C'] is lifted p-adically (Dixon) digit by digit;
-    W tracks (E[R', C'] - E[R', C] X_<k) / p^k, which must stay integral.
-    Once p^k > H, det(B) * S is divisible by p^k and so zero.  If the
-    residual rhs reaches zero, X is exact and S = p^k W.  False means p
-    divided a nonzero minor: the GF(p) rank was too small.
+    value.  S is lifted p-adically (Dixon) digit by digit from either side:
+    the column side lifts X = B^-1 E[R, C'], the row side Y = E[R', C] B^-1
+    as the column side of the transpose, with (B^T)^-1 = (B^-1)^T.  Each
+    side tracks W = (E[R', C'] - E[R', C] X_<k) / p^k, or the same with
+    Y_<k E[R, C'], which must stay integral.  Once p^k > H on either side,
+    det(B) * S is divisible by p^k and so zero.  If a side's residual rhs
+    reaches zero, its X (or Y) is exact and S = p^k W.  A relation with
+    small integer coefficients ends its side's lift in a step or two while
+    the other side runs to H, so the sides take turns, the column side
+    first, and one step ends the lift where p > H.  False means p divided
+    a nonzero minor: the GF(p) rank was too small.
     """
     r = len(R)
-    # digits of X are balanced residues, at most p/2 in absolute value
+    # digits are balanced residues, at most p/2 in absolute value
     # (`_reduce`), so a step takes a bound c on |rhs| and |W| to c/p + r/2,
     # and c = r holds throughout; every sum (Bi @ rhs, rhs - B @ X,
     # W - A @ X) is then at most r(r+1)p/2, within what `_reduce` needs
@@ -305,19 +349,22 @@ def _schur_vanishes(E: np.ndarray, R: np.ndarray, C: np.ndarray,
     rhs = E[np.ix_(R, Cc)].astype(np.float64)
     W = E[np.ix_(Rc, Cc)].astype(np.float64)
     Bi = _inverse_mod_p(B, p)
-    hadamard_sq, pk_sq = (r + 1) ** (r + 1), 1
-    while pk_sq <= hadamard_sq:
+    # per side: B, B^-1, the other side's block, and its (rhs, W)
+    sides = [(B, Bi, A), (B.T, Bi.T, rhs.T)]
+    state = [(rhs, W), (A.T, W.T)]
+    hadamard_sq, pk_sq = (r + 1) ** (r + 1), [1, 1]
+    side = 0
+    while True:
+        rhs, W = _lift_digit(*sides[side], *state[side], p)
+        if W is None:
+            return False
         if not rhs.any():
             return not W.any()
-        X = _reduce(Bi @ rhs, p)
-        rhs = (rhs - B @ X) / p
-        W -= A @ X
-        Q = np.rint(W / p)  # exact quotient iff p divides every entry
-        if (Q * p != W).any():
-            return False
-        W = Q
-        pk_sq *= p * p
-    return True
+        pk_sq[side] *= p * p
+        if pk_sq[side] > hadamard_sq:
+            return True
+        state[side] = (rhs, W)
+        side = 1 - side
 
 
 def _next_prime(p: int) -> int:
@@ -327,22 +374,70 @@ def _next_prime(p: int) -> int:
     return p
 
 
+def _gram_certifies(E: np.ndarray) -> bool:
+    """True only if the 0/1 array E has full rank min(E.shape); False
+    proves nothing.
+
+    F is the smaller side of E (E or its transpose, k rows), G = F F^T its
+    Gram matrix, exact in float64 (integers below 2^53), and E has full
+    rank iff G is positive definite.  The proof is a floating-point
+    Cholesky factorization of G - cI that runs to completion (Rump 2006,
+    "Verification of positive definiteness", BIT 46), with
+
+        c = 2 (a tr(G) + u max_j G_jj),   a = g / (1 - g),
+
+    g = (k+1)u / (1 - (k+1)u) and u = 2^-53 the unit roundoff.  The
+    shifted matrix is G~ = G - cI + D1, D1 diagonal with |D1| <= u
+    (max_j G_jj + c), the rounding of the subtraction; as c exceeds
+    u G_jj, G~_jj <= G_jj.  A completed Cholesky factor R of G~ satisfies
+    R^T R = G~ + D2 with |D2| <= g |R^T| |R| (Higham 2002, Thm 10.3; it
+    holds for any order of the inner products, so for LAPACK's blocked
+    factorization too).  Column j of R has squared norm G~_jj + (D2)_jj,
+    hence at most G~_jj / (1 - g), so ||D2||_2 <= g ||R||_F^2 <= a tr(G~)
+    <= a tr(G).  R^T R is positive semidefinite, so
+    lambda_min(G) >= c - ||D1||_2 - ||D2||_2 >= c (1 - u) - u max_j G_jj
+    - a tr(G) > 0: the factor 2 in c covers u c and the rounding of c
+    itself.  Any `LinAlgError` means no proof.
+    """
+    F = (E if E.shape[0] <= E.shape[1] else E.T).astype(np.float64)
+    G = F @ F.T
+    k = len(G)
+    u = 2.0 ** -53
+    g = (k + 1) * u / (1 - (k + 1) * u)
+    diag = np.diag_indices(k)
+    G[diag] -= 2 * (g / (1 - g) * G[diag].sum() + u * G[diag].max())
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def rank(M: BinaryMatrix) -> int:
     """Exact rank over the rationals, memoized on M.
 
     Everything runs on the distinct rows and columns of M, which have its
-    rank.  Elimination over GF(p) gives pivot rows R and columns C; full
-    rank is then certain, and otherwise `_schur_vanishes` proves rank <= |R|
-    with float64 matmuls.  If p divided a minor, the next prime is tried.
+    rank.  Where the smaller side has at most `_PENDING` of them,
+    `_gram_certifies` first tries to prove full rank without elimination:
+    there elimination is one pending block of per-column steps.  Otherwise,
+    or when that proof fails, elimination over GF(p) gives pivot rows R and
+    columns C; full rank is then certain, and otherwise `_schur_vanishes`
+    proves rank <= |R| with float64 matmuls.  If p divided a minor, the
+    next prime is tried.  The BLAS (its thread count included) can decide
+    whether the Cholesky proof succeeds, and so which certificate proves a
+    full rank, but never the rank.
     """
     if M._rank is None:
         E = _distinct(M.entries)
-        p = _MODP
-        R, C = _pivots_mod_p(E, p)
-        while len(R) < min(E.shape) and not _schur_vanishes(E, R, C, p):
-            p = _next_prime(p)
+        if min(E.shape) <= _PENDING and _gram_certifies(E):
+            M._rank = min(E.shape)
+        else:
+            p = _MODP
             R, C = _pivots_mod_p(E, p)
-        M._rank = len(R)
+            while len(R) < min(E.shape) and not _schur_vanishes(E, R, C, p):
+                p = _next_prime(p)
+                R, C = _pivots_mod_p(E, p)
+            M._rank = len(R)
     return M._rank
 
 

@@ -353,6 +353,36 @@ def test_experiment_reports_an_unwritable_output(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {out_path}: ")
 
 
+def test_experiment_checks_its_output_before_the_first_bundle(
+        tmp_path, capsys, monkeypatch):
+    # an unwritable --out used to surface only after every bundle had run
+    import lowrankdisc.cli as cli
+
+    def no_bundles(config):
+        raise AssertionError("run_experiment ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_experiment", no_bundles)
+    out_path = str(tmp_path / "no" / "such" / "x.csv")
+    code, out, err = run_cli(["experiment", exp_config(tmp_path), "--out",
+                              out_path], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
+@pytest.mark.parametrize("value", [[1], True, {"num": 1}])
+def test_experiment_rejects_a_generator_p_of_the_wrong_type(
+        tmp_path, capsys, value):
+    # [1] ended in a TypeError traceback and true ran as p = 1/1
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "gens": [{"kind": "random_dense", "m": 4, "n": 4, "p": value}],
+        "ops": ["disc_exact"], "seeds": [1]}))
+    code, out, err = run_cli(["experiment", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: p must be a fraction string or a number, "
+                          "got ")
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_experiment_rejects_thread_counts_below_one(tmp_path, capsys, value):
     # these used to run one worker silently

@@ -120,3 +120,12 @@ def test_genspec_rejects_sizes_that_are_not_positive_integers(field, value):
     with pytest.raises(ValueError,
                        match=f"^{field} must be a positive integer"):
         GenSpec.from_json_obj({**spec, field: value})
+
+
+@pytest.mark.parametrize("value", [True, False, [1], {"num": 1}])
+def test_genspec_rejects_a_p_that_is_not_a_fraction_or_number(value):
+    # a bool ran as p = 1/1 or 0/1, and a list ended in a TypeError
+    spec = {"kind": "blowup_random", "r": 2, "m": 8, "n": 8}
+    with pytest.raises(ValueError, match="^p must be a fraction string or "
+                                         "a number, got "):
+        GenSpec.from_json_obj({**spec, "p": value})

@@ -1,6 +1,7 @@
 """Matrix core: construction, stats, rank, blow-up, submatrix, complement."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,9 @@ from lowrankdisc import (BinaryMatrix, CapacityError, MatrixParseError,
                          WeightedBinaryMatrix, blow_up, complement, fixtures,
                          random_dense, rank, submatrix)
 from lowrankdisc import matrix
-from lowrankdisc.matrix import _MODP, _pivots_mod_p, _schur_vanishes
+from lowrankdisc.matrix import (_MODP, _distinct, _gram_certifies,
+                                _inverse_mod_p, _pivots_mod_p, _reduce,
+                                _schur_vanishes)
 
 from conftest import random_corpus
 from naive import (fraction_rank, largest_permutation_submatrix,
@@ -169,16 +172,31 @@ def rank_matrices(draw):
     return E
 
 
+def modular_path(mp) -> Counter:
+    """Switch the Gram certificate off through the MonkeyPatch mp, so that
+    rank runs the GF(p) path, and count that path's calls."""
+    calls = Counter()
+    mp.setattr(matrix, "_gram_certifies", lambda E: False)
+    for name in ("_pivots_mod_p", "_schur_vanishes"):
+        real = getattr(matrix, name)
+        mp.setattr(matrix, name, lambda *args, name=name, real=real:
+                   calls.update([name]) or real(*args))
+    return calls
+
+
 @given(rank_matrices())
 def test_rank_exact_whatever_the_first_prime(E):
     # p = 2 and p = 3 divide some nonzero minors, so for some of these
     # matrices the certificate rejects the GF(p) rank and the next prime
-    # is tried
+    # is tried; the Gram certificate is off, or it would settle every
+    # full-rank input before any prime
     expected = fraction_rank(BinaryMatrix(E))
     for p in (2, 3, _MODP):
         with pytest.MonkeyPatch.context() as mp:
+            calls = modular_path(mp)
             mp.setattr(matrix, "_MODP", p)
             assert rank(BinaryMatrix(E)) == expected
+        assert calls["_pivots_mod_p"] >= 1
 
 
 @given(rank_matrices())
@@ -196,19 +214,23 @@ def test_rank_at_least_any_permutation_submatrix(E):
     [[1, 0, 1], [0, 1, 1], [1, 1, 0]],
 ])
 def test_rank_retries_after_unlucky_prime(monkeypatch, E):
-    # det = 2: singular over GF(2), nonsingular over Q
+    # det = 2: singular over GF(2), nonsingular over Q; the Gram
+    # certificate is off, or it would prove full rank before any prime
     E = np.array(E, dtype=np.uint8)
     assert len(_pivots_mod_p(E, 2)[0]) == 2
+    calls = modular_path(monkeypatch)
     monkeypatch.setattr(matrix, "_MODP", 2)
     assert rank(BinaryMatrix(E)) == 3 == fraction_rank(BinaryMatrix(E))
+    assert calls == {"_pivots_mod_p": 2, "_schur_vanishes": 1}
 
 
-def test_rank_certified_with_duplicated_rows_and_columns():
+def test_rank_certified_with_duplicated_rows_and_columns(monkeypatch):
     # The expected rank comes from the construction: N is nonsingular over
     # GF(p), hence over Q, and copies of rows or columns add no rank.  The
     # second matrix appends random columns before copying rows, so the
-    # columns outside the pivots are not copies and the certificate lifts
-    # through all its p-adic steps (22 at rank 120).
+    # columns outside the pivots are not copies; its 120 distinct rows
+    # are then of full rank, which GF(p) elimination proves, here with the
+    # Gram certificate off.
     k, s = 120, 6
     gen = np.random.default_rng(12)
     N = (gen.random((k, k)) < 0.5).astype(np.uint8)
@@ -217,7 +239,9 @@ def test_rank_certified_with_duplicated_rows_and_columns():
     cols = gen.permutation(np.concatenate([np.arange(k), gen.choice(k, s)]))
     assert rank(BinaryMatrix(N[np.ix_(rows, cols)])) == k
     wide = np.hstack([N, (gen.random((k, s)) < 0.5).astype(np.uint8)])
+    calls = modular_path(monkeypatch)
     assert rank(BinaryMatrix(wide[np.ix_(rows, gen.permutation(k + s))])) == k
+    assert calls == {"_pivots_mod_p": 1}
 
 
 @st.composite
@@ -244,6 +268,101 @@ def test_rank_near_full_with_a_row_or_column_relation(E):
         R, C = _pivots_mod_p(E, p)
         assert _schur_vanishes(E, R, C, p) == (len(R) == expected)
     assert rank(BinaryMatrix(E)) == expected
+
+
+@given(st.one_of(pivot_matrices(), rank_matrices(), near_full_rank()))
+def test_gram_certificate_implies_full_rank(E):
+    # the certificate proves full rank or proves nothing: on the matrix as
+    # given and on its distinct rows and columns, as rank calls it
+    for F in (E, _distinct(E)):
+        if _gram_certifies(F):
+            assert fraction_rank(BinaryMatrix(F)) == min(F.shape)
+
+
+def test_gram_certificate_needs_its_shift():
+    # rank 2 (row 0 = row 1 + row 2), and the float64 Cholesky factorization
+    # of its unshifted Gram matrix completes: its last pivot, exactly 0,
+    # is computed as about 3e-16; so the shift c alone rejects it
+    E = np.array([[1, 0, 1], [1, 0, 0], [0, 0, 1]], dtype=np.uint8)
+    F = E.astype(np.float64)
+    np.linalg.cholesky(F @ F.T)
+    assert not _gram_certifies(E)
+    assert rank(BinaryMatrix(E)) == 2 == fraction_rank(BinaryMatrix(E))
+    assert _gram_certifies(E[1:]) and _gram_certifies(np.eye(5, 9) == 1)
+
+
+@pytest.mark.parametrize("r", [*range(1, 41), 70])
+def test_inverse_mod_p_is_an_inverse(r):
+    # random balanced residues: every leading principal minor is nonzero
+    # mod p for this seed, and the product is taken in Python integers;
+    # sides up to 32 are one Gauss-Jordan block, 33 to 40 split once and
+    # 70 twice
+    p = _MODP
+    gen = np.random.default_rng(r)
+    B = _reduce(gen.integers(0, p, (r, r)).astype(np.float64), p)
+    Bi = _inverse_mod_p(B, p)
+    assert np.abs(Bi).max() <= p // 2
+    product = B.astype(np.int64).astype(object) @ Bi.astype(np.int64).astype(
+        object)
+    assert ((product % p) == np.eye(r, dtype=np.int64)).all()
+
+
+def test_schur_lift_takes_the_side_of_a_small_relation(monkeypatch):
+    # row 2 = row 0 + row 1: the row side's lift ends after its first
+    # digit, while the column side's would run to the Hadamard bound (ten
+    # digits at rank 63); the same on the transpose, with the sides swapped
+    gen = np.random.default_rng(8)
+    E = (gen.random((64, 64)) < 0.5).astype(np.uint8)
+    E[1] &= 1 - E[0]
+    E[2] = E[0] + E[1]
+    digits = []
+    real = matrix._lift_digit
+    monkeypatch.setattr(matrix, "_lift_digit", lambda *args: digits.append(
+        args[0].shape) or real(*args))
+    for F in (E, E.T):
+        R, C = _pivots_mod_p(F, _MODP)
+        digits.clear()
+        assert len(R) == 63 and _schur_vanishes(F, R, C, _MODP)
+        assert len(digits) <= 2
+
+
+# -- rank invariants -----------------------------------------------------------
+
+
+def rank_with(E, gram: bool) -> int:
+    """rank of the 0/1 array E, with the Gram certificate on or off."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not gram:
+            mp.setattr(matrix, "_gram_certifies", lambda E: False)
+        return rank(BinaryMatrix(E))
+
+
+@pytest.mark.parametrize("gram", [True, False])
+@given(E=pivot_matrices(), a=st.integers(1, 4), b=st.integers(1, 4))
+def test_rank_of_a_blow_up_is_the_rank(gram, E, a, b):
+    assert (rank_with(blow_up(BinaryMatrix(E), a, b).entries, gram)
+            == rank_with(E, gram))
+
+
+@pytest.mark.parametrize("gram", [True, False])
+@given(pivot_matrices())
+def test_rank_of_the_transpose_is_the_rank(gram, E):
+    assert rank_with(E.T, gram) == rank_with(E, gram)
+
+
+@pytest.mark.parametrize("gram", [True, False])
+@given(E=pivot_matrices(), seed=st.integers(0, 2**32 - 1))
+def test_rank_is_invariant_under_permutations(gram, E, seed):
+    gen = np.random.default_rng(seed)
+    P = E[gen.permutation(E.shape[0])][:, gen.permutation(E.shape[1])]
+    assert rank_with(P, gram) == rank_with(E, gram)
+
+
+@pytest.mark.parametrize("gram", [True, False])
+@given(st.one_of(pivot_matrices(), near_full_rank()))
+def test_rank_of_the_complement_moves_by_at_most_one(gram, E):
+    # J - M = 1 u^T - M, a rank-one change
+    assert abs(rank_with(1 - E, gram) - rank_with(E, gram)) <= 1
 
 
 # -- blow_up ---------------------------------------------------------------------
