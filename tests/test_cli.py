@@ -260,11 +260,15 @@ def test_experiment_runs_every_bundle_on_the_calling_thread(
 
 def test_experiment_eliminates_each_matrix_once(tmp_path, monkeypatch):
     # the bundle's rank is memoized on the matrix, so find_mono reuses it
-    # (one seed: identity(8) is the same matrix under every seed)
+    # (one seed: identity(8) is the same matrix under every seed); a rank
+    # tries the Gram certificate, the elimination, or both
     seen = []
-    eliminate = matrix._pivots_mod_p
-    monkeypatch.setattr(matrix, "_pivots_mod_p", lambda E, p: seen.append(
-        (E.shape, E.tobytes())) or eliminate(E, p))
+    for name in ("_gram_certifies", "_pivots_mod_p"):
+        real = getattr(matrix, name)
+        monkeypatch.setattr(matrix, name, lambda E, *args, name=name,
+                            real=real: seen.append((name, E.shape,
+                                                    E.tobytes()))
+                            or real(E, *args))
     config = ExperimentConfig.from_file(
         exp_config(tmp_path, ops=("bound", "mono")))
     run_experiment(config)
