@@ -5,12 +5,12 @@ density-decrement loop) leans on these invariants:
 
   * entries are 0/1, stored dense, immutable after construction;
   * counts (ones, degrees) are integers, densities are Fractions;
-  * rank is exact over the rationals, computed on the distinct rows and
-    columns and memoized on the matrix: a verified Cholesky factorization
-    of the Gram matrix proves full rank where the smaller side is short;
-    otherwise elimination over GF(p), in float64 block updates, gives a
-    lower bound, and a p-adic lift in float64 matmuls, from whichever side
-    ends first, proves it is also an upper bound.
+  * rank is exact over the rationals, computed on the distinct nonzero
+    rows and columns and memoized on the matrix: a verified Cholesky
+    factorization of the Gram matrix proves full rank where the smaller
+    side is short; otherwise elimination over GF(p), in float64 block
+    updates, gives a lower bound, and a p-adic lift in float64 matmuls,
+    from whichever side ends first, proves it is also an upper bound.
 """
 
 from __future__ import annotations
@@ -171,8 +171,10 @@ def _row_classes(E: np.ndarray) -> list[list[int]]:
 
 
 def _distinct(E: np.ndarray) -> np.ndarray:
-    """E restricted to its first copy of every row and every column, in
-    their order in E.  Copies add no rank, so the rank is E's."""
+    """E restricted to its first copy of every nonzero row and every
+    nonzero column, in their order in E.  Copies and zero lines add no
+    rank, so the rank is E's; a zero E leaves a 0 x 0 array."""
+    E = E[E.any(axis=1)][:, E.any(axis=0)]
     E = E[sorted(rows[0] for rows in _row_classes(E))]
     return E[:, sorted(cols[0] for cols in _row_classes(E.T))]
 
@@ -405,7 +407,7 @@ def _gram_certifies(E: np.ndarray) -> bool:
     u = 2.0 ** -53
     g = (k + 1) * u / (1 - (k + 1) * u)
     diag = np.diag_indices(k)
-    G[diag] -= 2 * (g / (1 - g) * G[diag].sum() + u * G[diag].max())
+    G[diag] -= 2 * (g / (1 - g) * G[diag].sum() + u * G[diag].max(initial=0))
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
@@ -416,8 +418,8 @@ def _gram_certifies(E: np.ndarray) -> bool:
 def rank(M: BinaryMatrix) -> int:
     """Exact rank over the rationals, memoized on M.
 
-    Everything runs on the distinct rows and columns of M, which have its
-    rank.  Where the smaller side has at most `_PENDING` of them,
+    Everything runs on the distinct nonzero rows and columns of M, which
+    have its rank.  Where the smaller side has at most `_PENDING` of them,
     `_gram_certifies` first tries to prove full rank without elimination:
     there elimination is one pending block of per-column steps.  Otherwise,
     or when that proof fails, elimination over GF(p) gives pivot rows R and

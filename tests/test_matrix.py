@@ -273,21 +273,25 @@ def test_rank_near_full_with_a_row_or_column_relation(E):
 @given(st.one_of(pivot_matrices(), rank_matrices(), near_full_rank()))
 def test_gram_certificate_implies_full_rank(E):
     # the certificate proves full rank or proves nothing: on the matrix as
-    # given and on its distinct rows and columns, as rank calls it
+    # given and on its distinct nonzero rows and columns, as rank calls it
+    # (none when E is zero: full rank 0)
     for F in (E, _distinct(E)):
-        if _gram_certifies(F):
+        if F.size and _gram_certifies(F):
             assert fraction_rank(BinaryMatrix(F)) == min(F.shape)
 
 
 def test_gram_certificate_needs_its_shift():
-    # rank 2 (row 0 = row 1 + row 2), and the float64 Cholesky factorization
-    # of its unshifted Gram matrix completes: its last pivot, exactly 0,
-    # is computed as about 3e-16; so the shift c alone rejects it
-    E = np.array([[1, 0, 1], [1, 0, 0], [0, 0, 1]], dtype=np.uint8)
+    # rank 3 (row 1 = row 0 + row 2) with no zero or repeated line, and the
+    # float64 Cholesky factorization of its unshifted Gram matrix completes:
+    # its third pivot, exactly 0, is computed as about 4e-16; so the shift
+    # c alone keeps rank from reporting 4
+    E = np.array([[1, 0, 1, 0], [1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+                 dtype=np.uint8)
+    assert _distinct(E).shape == E.shape
     F = E.astype(np.float64)
     np.linalg.cholesky(F @ F.T)
     assert not _gram_certifies(E)
-    assert rank(BinaryMatrix(E)) == 2 == fraction_rank(BinaryMatrix(E))
+    assert rank(BinaryMatrix(E)) == 3 == fraction_rank(BinaryMatrix(E))
     assert _gram_certifies(E[1:]) and _gram_certifies(np.eye(5, 9) == 1)
 
 
